@@ -8,7 +8,7 @@ bijective solution.
 """
 
 from yaxl.constructions import (
-    StrongSemilatticeSystem,
+    SemilatticeSystem,
     brace_solution,
     brace_structure_shelf_check,
     clifford_from_system,
@@ -22,9 +22,9 @@ from yaxl.solutions import is_solution, pair_map, quasi_bijective
 
 # Z2 glued over Z2 along the identity: a 4-element Clifford semigroup
 z2 = cyclic_group(2)
-system = StrongSemilatticeSystem(
+system = SemilatticeSystem(
     meet=((0, 0), (0, 1)),
-    groups=(z2, z2),
+    fibers=(z2, z2),
     homs={(0, 0): (0, 1), (1, 1): (0, 1), (1, 0): (0, 1)},
 )
 c = clifford_from_system(system)

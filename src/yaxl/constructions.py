@@ -15,8 +15,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .fnmap import FnMap, compose, is_completely_regular, relative_inverse
-from .shelves import Magma, QuasiRack, is_quasi_quandle, quasi_rack_structure, validate_table
+from .fnmap import FnMap, commutes, compose, is_completely_regular, relative_inverse
+from .shelves import (
+    Magma,
+    QuasiRack,
+    homomorphisms,
+    is_hom,
+    is_quasi_quandle,
+    quasi_rack_structure,
+    validate_table,
+)
 from .solutions import Solution
 
 
@@ -94,16 +102,6 @@ def group_identity(table: Magma) -> int:
         if all(table[e][x] == x for x in range(n)):
             return e
     raise ValueError("no identity element")
-
-
-def group_homs(g: Magma, h: Magma) -> list:
-    """All group homomorphisms g -> h, by brute force over maps."""
-    n, m = len(g), len(h)
-    out = []
-    for f in itertools.product(range(m), repeat=n):
-        if all(f[g[a][b]] == h[f[a]][f[b]] for a in range(n) for b in range(n)):
-            out.append(f)
-    return out
 
 
 def labeled_groups(n: int):
@@ -184,12 +182,14 @@ def clifford_table(mul: Magma) -> CliffordTable:
 
 
 @dataclass(frozen=True)
-class StrongSemilatticeSystem:
-    """A semilattice, one group per point, and gluing homomorphisms
-    phi[(a, b)] for every a >= b (with phi[(a, a)] the identity)."""
+class SemilatticeSystem:
+    """A semilattice (meet table), one fiber per point, and gluing
+    homomorphisms homs[(a, b)] for every a >= b (homs[(a, a)] the
+    identity).  Over groups it presents a Clifford semigroup, over racks
+    a Plonka sum; the sum itself is the same in both cases."""
 
     meet: Magma
-    groups: tuple
+    fibers: tuple
     homs: dict
 
     @property
@@ -198,59 +198,89 @@ class StrongSemilatticeSystem:
 
     def offsets(self) -> list:
         out, acc = [], 0
-        for g in self.groups:
+        for f in self.fibers:
             out.append(acc)
-            acc += len(g)
+            acc += len(f)
         return out
 
     @property
     def size(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return sum(len(f) for f in self.fibers)
 
 
-def validate_system(sys: StrongSemilatticeSystem) -> None:
+def _gluing_composes(meet: Magma, homs: dict) -> bool:
+    """homs[(b, c)] o homs[(a, b)] == homs[(a, c)] for all a >= b >= c."""
+    m = len(meet)
+    # fibers differ in size, so compose by hand
+    return all(
+        tuple(homs[(b, c)][v] for v in homs[(a, b)]) == homs[(a, c)]
+        for a in range(m)
+        for b in range(m)
+        if semilattice_geq(meet, a, b)
+        for c in range(m)
+        if semilattice_geq(meet, b, c)
+    )
+
+
+def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
+    """Raise ValueError unless every fiber satisfies ``fiber_ok``
+    (``is_group`` for a Clifford semigroup, ``is_rack`` for a Plonka sum)
+    and the gluing maps are well-shaped homomorphisms that compose."""
     if not is_semilattice(sys.meet):
         raise ValueError("meet table is not a semilattice")
+    if len(sys.fibers) != sys.points:
+        raise ValueError("need one fiber per semilattice point")
+    for k, f in enumerate(sys.fibers):
+        if not fiber_ok(validate_table(f)):
+            raise ValueError(f"fiber {k} fails {fiber_ok.__name__}")
     m = sys.points
     for a in range(m):
-        if sys.homs[(a, a)] != tuple(range(len(sys.groups[a]))):
+        if sys.homs[(a, a)] != tuple(range(len(sys.fibers[a]))):
             raise ValueError("phi[(a, a)] must be the identity")
         for b in range(m):
             if not semilattice_geq(sys.meet, a, b):
                 continue
-            f = sys.homs[(a, b)]
-            g, h = sys.groups[a], sys.groups[b]
-            if any(f[g[x][y]] != h[f[x]][f[y]] for x in range(len(g)) for y in range(len(g))):
-                raise ValueError(f"phi[{(a, b)}] is not a group homomorphism")
-            for c in range(m):
-                if semilattice_geq(sys.meet, b, c):
-                    # fibers differ in size, so compose by hand
-                    if tuple(sys.homs[(b, c)][v] for v in f) != sys.homs[(a, c)]:
-                        raise ValueError("gluing homomorphisms do not compose")
+            f, src, dst = sys.homs[(a, b)], sys.fibers[a], sys.fibers[b]
+            if len(f) != len(src) or any(type(v) is not int or not 0 <= v < len(dst) for v in f):
+                raise ValueError(f"phi[{(a, b)}] has the wrong shape")
+            if not is_hom(f, src, dst):
+                raise ValueError(f"phi[{(a, b)}] is not a homomorphism")
+    if not _gluing_composes(sys.meet, sys.homs):
+        raise ValueError("gluing homomorphisms do not compose")
 
 
-def clifford_from_system(sys: StrongSemilatticeSystem) -> CliffordTable:
-    """Disjoint union of the fibers; the product of a in G_a and b in G_b
-    lands in the meet fiber via the gluing homomorphisms."""
-    validate_system(sys)
+def sum_pairs(sys: SemilatticeSystem) -> Iterator[tuple]:
+    """Every pair (x, y) of the sum's carrier, projected into the fiber c
+    of the meet of their points: yields (x, y, c, u, v) with u, v the
+    images of x, y in fiber c.  Global elements are the fibers
+    concatenated in point order."""
+    off = sys.offsets()
+    fiber_of = [a for a, f in enumerate(sys.fibers) for _ in f]
+    for x, a in enumerate(fiber_of):
+        for y, b in enumerate(fiber_of):
+            c = sys.meet[a][b]
+            yield x, y, c, sys.homs[(a, c)][x - off[a]], sys.homs[(b, c)][y - off[b]]
+
+
+def semilattice_sum(sys: SemilatticeSystem) -> Magma:
+    """Disjoint union of the fibers; the product of x in fiber a and y in
+    fiber b is taken in the meet fiber after the gluing maps.  The system
+    is not validated here."""
     off = sys.offsets()
     n = sys.size
-    fiber_of = []
-    for alpha, g in enumerate(sys.groups):
-        fiber_of.extend([alpha] * len(g))
-    mul = [[0] * n for _ in range(n)]
-    for x in range(n):
-        a = fiber_of[x]
-        for y in range(n):
-            b = fiber_of[y]
-            c = sys.meet[a][b]
-            xa = sys.homs[(a, c)][x - off[a]]
-            yb = sys.homs[(b, c)][y - off[b]]
-            mul[x][y] = off[c] + sys.groups[c][xa][yb]
-    return clifford_table(tuple(tuple(row) for row in mul))
+    table = [[0] * n for _ in range(n)]
+    for x, y, c, u, v in sum_pairs(sys):
+        table[x][y] = off[c] + sys.fibers[c][u][v]
+    return tuple(tuple(row) for row in table)
 
 
-def all_systems(max_size: int = 5, max_points: int = 3) -> Iterator[StrongSemilatticeSystem]:
+def clifford_from_system(sys: SemilatticeSystem) -> CliffordTable:
+    """The Clifford semigroup presented by a strong semilattice of groups."""
+    validate_system(sys, is_group)
+    return clifford_table(semilattice_sum(sys))
+
+
+def all_systems(max_size: int = 5, max_points: int = 3) -> Iterator[SemilatticeSystem]:
     """Every strong semilattice system with the given size bounds.
 
     Semilattices up to isomorphism, group fibers of total order at most
@@ -268,22 +298,12 @@ def all_systems(max_size: int = 5, max_points: int = 3) -> Iterator[StrongSemila
             if sum(orders) > max_size:
                 continue
             for groups in itertools.product(*(groups_of_order(k) for k in orders)):
-                choices = [group_homs(groups[a], groups[b]) for a, b in down_pairs]
+                choices = [list(homomorphisms(groups[a], groups[b])) for a, b in down_pairs]
                 for combo in itertools.product(*choices):
                     homs = {(a, a): tuple(range(len(groups[a]))) for a in range(m)}
                     homs.update(dict(zip(down_pairs, combo)))
-                    ok = True
-                    for a, b in down_pairs:
-                        for c in range(m):
-                            if (
-                                c != b
-                                and semilattice_geq(meet, b, c)
-                                and tuple(homs[(b, c)][v] for v in homs[(a, b)])
-                                != homs[(a, c)]
-                            ):
-                                ok = False
-                    if ok:
-                        yield StrongSemilatticeSystem(meet, groups, homs)
+                    if _gluing_composes(meet, homs):
+                        yield SemilatticeSystem(meet, groups, homs)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +542,7 @@ def lambda_rho_clifford_check(b: WeakBrace) -> bool:
         if not all(is_completely_regular(f) for f in family):
             return False
         idems = [f for f in family if compose(f, f) == f]
-        if not all(compose(e, f) == compose(f, e) for e in idems for f in family):
+        if not all(commutes(e, f) for e in idems for f in family):
             return False
     return True
 

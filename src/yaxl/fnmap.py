@@ -30,6 +30,14 @@ class RegularTriple(NamedTuple):
     zero: FnMap
 
 
+class RegularFamily(NamedTuple):
+    """Relative inverses and idempotents of a family of transformations,
+    member by member."""
+
+    inv: tuple
+    zero: tuple
+
+
 def identity(n: int) -> FnMap:
     return tuple(range(n))
 
@@ -114,3 +122,23 @@ def relative_inverse(f: FnMap) -> Optional[RegularTriple]:
     assert compose(compose(inv, f), inv) == inv
     assert compose(inv, f) == zero and is_idempotent(zero)
     return RegularTriple(f, inv, zero)
+
+
+def regular_family(family) -> Optional[RegularFamily]:
+    """Relative inverses and idempotents of every member, or None.
+
+    None unless every member is completely regular and every idempotent
+    commutes with every member of the family.
+    """
+    triples = []
+    for f in family:
+        t = relative_inverse(f)
+        if t is None:
+            return None
+        triples.append(t)
+    zeros = tuple(t.zero for t in triples)
+    for z in zeros:
+        for f in family:
+            if not commutes(z, f):
+                return None
+    return RegularFamily(tuple(t.inv for t in triples), zeros)

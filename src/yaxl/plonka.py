@@ -9,9 +9,14 @@ that roundtrips are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .constructions import is_semilattice, semilattice_geq
+from .constructions import (
+    SemilatticeSystem,
+    is_semilattice,
+    semilattice_geq,
+    semilattice_sum,
+    sum_pairs,
+    validate_system,
+)
 from .fnmap import compose
 from .shelves import (
     Magma,
@@ -20,91 +25,31 @@ from .shelves import (
     check_star,
     check_starstarstar,
     derived_map,
-    is_quandle,
+    is_left_shelf,
+    is_quasi_quandle,
     is_rack,
     quasi_rack_structure,
-    validate_table,
 )
 
-
-@dataclass(frozen=True)
-class PlonkaSystem:
-    """A semilattice (meet table), one rack per point, and gluing rack
-    homomorphisms homs[(a, b)] for every a >= b (phi[(a, a)] = id)."""
-
-    meet: Magma
-    fibers: tuple
-    homs: dict
-
-    @property
-    def points(self) -> int:
-        return len(self.meet)
-
-    def offsets(self) -> list:
-        out, acc = [], 0
-        for f in self.fibers:
-            out.append(acc)
-            acc += len(f)
-        return out
-
-    @property
-    def size(self) -> int:
-        return sum(len(f) for f in self.fibers)
-
-
-def validate_plonka(p: PlonkaSystem) -> None:
-    if not is_semilattice(p.meet):
-        raise ValueError("meet table is not a semilattice")
-    for f in p.fibers:
-        if not is_rack(validate_table(f)):
-            raise ValueError("every fiber must be a rack")
-    m = p.points
-    for a in range(m):
-        if p.homs[(a, a)] != tuple(range(len(p.fibers[a]))):
-            raise ValueError("phi[(a, a)] must be the identity")
-        for b in range(m):
-            if not semilattice_geq(p.meet, a, b):
-                continue
-            f = p.homs[(a, b)]
-            src, dst = p.fibers[a], p.fibers[b]
-            if len(f) != len(src) or any(not (0 <= v < len(dst)) for v in f):
-                raise ValueError(f"phi[{(a, b)}] has the wrong shape")
-            if any(
-                f[src[x][y]] != dst[f[x]][f[y]]
-                for x in range(len(src))
-                for y in range(len(src))
-            ):
-                raise ValueError(f"phi[{(a, b)}] is not a rack homomorphism")
-            for c in range(m):
-                if semilattice_geq(p.meet, b, c):
-                    # fibers differ in size, so compose by hand
-                    if tuple(p.homs[(b, c)][v] for v in f) != p.homs[(a, c)]:
-                        raise ValueError("gluing homomorphisms do not compose")
+# A Plonka system is a semilattice system whose fibers are racks.
+PlonkaSystem = SemilatticeSystem
 
 
 def plonka_sum(p: PlonkaSystem) -> Magma:
     """a |> b := phi_{alpha, alpha^beta}(a) |> phi_{beta, alpha^beta}(b)
     computed in the meet fiber.  The result is asserted to be a left shelf."""
-    validate_plonka(p)
-    off = p.offsets()
-    fiber_of = []
-    for alpha, f in enumerate(p.fibers):
-        fiber_of.extend([alpha] * len(f))
-    n = p.size
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        a = fiber_of[x]
-        for y in range(n):
-            b = fiber_of[y]
-            c = p.meet[a][b]
-            xa = p.homs[(a, c)][x - off[a]]
-            yb = p.homs[(b, c)][y - off[b]]
-            table[x][y] = off[c] + p.fibers[c][xa][yb]
-    table = tuple(tuple(row) for row in table)
-    from .shelves import is_left_shelf
-
+    validate_system(p, is_rack)
+    table = semilattice_sum(p)
     assert is_left_shelf(table)
     return table
+
+
+def _sum_quasi_rack(p: PlonkaSystem) -> QuasiRack:
+    """The validated sum, built and checked to be a quasi rack once."""
+    validate_system(p, is_rack)
+    q = quasi_rack_structure(semilattice_sum(p))
+    assert q is not None, "Plonka sum must be a quasi rack"
+    return q
 
 
 def sum_structure_check(p: PlonkaSystem) -> dict:
@@ -116,30 +61,15 @@ def sum_structure_check(p: PlonkaSystem) -> dict:
     L_a^-(b) = (L_{phi(a)} in the meet fiber)^{-1}(phi_{beta, alpha^beta}(b));
     quandle fibers give a quasi quandle.
     """
-    table = plonka_sum(p)
-    q = quasi_rack_structure(table)
-    assert q is not None, "Plonka sum must be a quasi rack"
+    q = _sum_quasi_rack(p)
     assert check_star(q) and check_starstarstar(q)
     off = p.offsets()
-    fiber_of = []
-    for alpha, f in enumerate(p.fibers):
-        fiber_of.extend([alpha] * len(f))
-    n = q.n
-    for x in range(n):
-        a = fiber_of[x]
-        for y in range(n):
-            b = fiber_of[y]
-            c = p.meet[a][b]
-            yb = p.homs[(b, c)][y - off[b]]
-            assert q.L_zero[x][y] == off[c] + yb
-            xa = p.homs[(a, c)][x - off[a]]
-            row = p.fibers[c][xa]
-            # invert the fiber translation (a permutation since fibers are racks)
-            assert q.L_inv[x][y] == off[c] + row.index(yb)
-    all_quandles = all(is_quandle(validate_table(f)) for f in p.fibers)
-    from .shelves import is_quasi_quandle
-
-    if all_quandles:
+    for x, y, c, u, v in sum_pairs(p):
+        assert q.L_zero[x][y] == off[c] + v
+        # invert the fiber translation (a permutation since fibers are racks)
+        assert q.L_inv[x][y] == off[c] + p.fibers[c][u].index(v)
+    # the fibers are racks, so each is a quandle iff its diagonal is fixed
+    if all(f[i][i] == i for f in p.fibers for i in range(len(f))):
         assert is_quasi_quandle(q)
     return {
         "quasi_rack": True,
@@ -203,39 +133,25 @@ def decompose(q: QuasiRack) -> PlonkaSystem:
         for b in range(n):
             assert local[q.table[a][b]][0] == meet[local[a][0]][local[b][0]]
     p = PlonkaSystem(meet, tuple(fibers), homs)
-    validate_plonka(p)
+    validate_system(p, is_rack)
     return p
 
 
 def roundtrip(q: QuasiRack) -> bool:
-    """plonka_sum(decompose(q)) is isomorphic to the original table."""
-    return are_isomorphic(plonka_sum(decompose(q)), q.table)
+    """The sum of decompose(q) is isomorphic to the original table."""
+    return are_isomorphic(semilattice_sum(decompose(q)), q.table)
 
 
 def solution_as_strong_semilattice(p: PlonkaSystem) -> bool:
     """The derived map of the sum equals the fiberwise derived solutions
-    evaluated after projecting both arguments into the meet fiber."""
-    table = plonka_sum(p)
-    q = quasi_rack_structure(table)
-    assert q is not None
-    s = derived_map(q)
+    evaluated after projecting both arguments into the meet fiber.
+
+    Every L^0 of a rack is the identity, so a fiber's derived solution
+    is r(u, v) = (v, v |> u).
+    """
+    s = derived_map(_sum_quasi_rack(p))
     off = p.offsets()
-    fiber_of = []
-    for alpha, f in enumerate(p.fibers):
-        fiber_of.extend([alpha] * len(f))
-    fiber_solutions = []
-    for f in p.fibers:
-        fq = quasi_rack_structure(validate_table(f))
-        assert fq is not None
-        fiber_solutions.append(derived_map(fq))
-    for x in range(q.n):
-        a = fiber_of[x]
-        for y in range(q.n):
-            b = fiber_of[y]
-            c = p.meet[a][b]
-            xa = p.homs[(a, c)][x - off[a]]
-            yb = p.homs[(b, c)][y - off[b]]
-            u, v = fiber_solutions[c].apply(xa, yb)
-            if s.apply(x, y) != (off[c] + u, off[c] + v):
-                return False
+    for x, y, c, u, v in sum_pairs(p):
+        if s.apply(x, y) != (off[c] + v, off[c] + p.fibers[c][v][u]):
+            return False
     return True

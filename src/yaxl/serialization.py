@@ -13,7 +13,7 @@ layout:
               "groups": [<Cayley>, ...],
               "homs": [{"from": a, "to": b, "map": [...]}, ...]}
   weak brace {"n": ..., "add": [[...]], "mul": [[...]]}
-  plonka     like system, with "fibers" of magma payloads
+  plonka     like system, with "fibers" of rack tables in place of "groups"
 
 Parsers raise ValueError with a line reference on malformed text.
 """
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .constructions import StrongSemilatticeSystem, WeakBrace, make_weak_brace
-from .plonka import PlonkaSystem
+from .constructions import SemilatticeSystem, WeakBrace, make_weak_brace
 from .shelves import Magma, validate_table
 from .solutions import Solution
 from .twists import TwistFamily, make_twist_family
@@ -43,6 +42,16 @@ def _parse_rows(lines, n, start):
     return tuple(rows)
 
 
+def _parse_size(lines) -> int:
+    try:
+        n = int(lines[0])
+    except (IndexError, ValueError):
+        raise ValueError("line 1: expected the carrier size")
+    if n < 0:
+        raise ValueError("line 1: the carrier size is negative")
+    return n
+
+
 def magma_to_text(table: Magma) -> str:
     n = len(table)
     return "\n".join([str(n)] + [" ".join(map(str, row)) for row in table]) + "\n"
@@ -50,13 +59,7 @@ def magma_to_text(table: Magma) -> str:
 
 def magma_from_text(text: str) -> Magma:
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    if not lines:
-        raise ValueError("line 1: empty input")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError("line 1: expected the carrier size")
-    return validate_table(_parse_rows(lines, n, 1))
+    return validate_table(_parse_rows(lines, _parse_size(lines), 1))
 
 
 def magma_to_json(table: Magma) -> str:
@@ -81,12 +84,9 @@ def solution_to_text(s: Solution) -> str:
 
 def solution_from_text(text: str) -> Solution:
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    try:
-        n = int(lines[0])
-    except (IndexError, ValueError):
-        raise ValueError("line 1: expected the carrier size")
+    n = _parse_size(lines)
     lam = _parse_rows(lines, n, 1)
-    if n > 0 and lines[1 + n].strip():
+    if n > 0 and (len(lines) <= 1 + n or lines[1 + n].strip()):
         raise ValueError(f"line {n + 2}: expected a blank separator line")
     rho = _parse_rows(lines, n, 2 + n)
     validate_table(lam), validate_table(rho)
@@ -119,11 +119,11 @@ def twist_from_json(text: str) -> TwistFamily:
     return make_twist_family(data["shelf"], data["phi"])
 
 
-def system_to_json(sys: StrongSemilatticeSystem) -> str:
+def _system_to_json(sys: SemilatticeSystem, fiber_key: str) -> str:
     return json.dumps(
         {
             "semilattice": {"m": sys.points, "meet": [list(r) for r in sys.meet]},
-            "groups": [[list(r) for r in g] for g in sys.groups],
+            fiber_key: [[list(r) for r in f] for f in sys.fibers],
             "homs": [
                 {"from": a, "to": b, "map": list(f)}
                 for (a, b), f in sorted(sys.homs.items())
@@ -132,12 +132,20 @@ def system_to_json(sys: StrongSemilatticeSystem) -> str:
     )
 
 
-def system_from_json(text: str) -> StrongSemilatticeSystem:
+def _system_from_json(text: str, fiber_key: str) -> SemilatticeSystem:
     data = json.loads(text)
     meet = validate_table(data["semilattice"]["meet"])
-    groups = tuple(validate_table(g) for g in data["groups"])
+    fibers = tuple(validate_table(f) for f in data[fiber_key])
     homs = {(h["from"], h["to"]): tuple(h["map"]) for h in data["homs"]}
-    return StrongSemilatticeSystem(meet, groups, homs)
+    return SemilatticeSystem(meet, fibers, homs)
+
+
+def system_to_json(sys: SemilatticeSystem) -> str:
+    return _system_to_json(sys, "groups")
+
+
+def system_from_json(text: str) -> SemilatticeSystem:
+    return _system_from_json(text, "groups")
 
 
 def weak_brace_to_json(b: WeakBrace) -> str:
@@ -151,22 +159,9 @@ def weak_brace_from_json(text: str) -> WeakBrace:
     return make_weak_brace(data["add"], data["mul"])
 
 
-def plonka_to_json(p: PlonkaSystem) -> str:
-    return json.dumps(
-        {
-            "semilattice": {"m": p.points, "meet": [list(r) for r in p.meet]},
-            "fibers": [[list(r) for r in f] for f in p.fibers],
-            "homs": [
-                {"from": a, "to": b, "map": list(f)}
-                for (a, b), f in sorted(p.homs.items())
-            ],
-        }
-    )
+def plonka_to_json(p: SemilatticeSystem) -> str:
+    return _system_to_json(p, "fibers")
 
 
-def plonka_from_json(text: str) -> PlonkaSystem:
-    data = json.loads(text)
-    meet = validate_table(data["semilattice"]["meet"])
-    fibers = tuple(validate_table(f) for f in data["fibers"])
-    homs = {(h["from"], h["to"]): tuple(h["map"]) for h in data["homs"]}
-    return PlonkaSystem(meet, fibers, homs)
+def plonka_from_json(text: str) -> SemilatticeSystem:
+    return _system_from_json(text, "fibers")

@@ -13,20 +13,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .fnmap import FnMap, compose, is_permutation, relative_inverse
+from .fnmap import FnMap, compose, is_permutation, regular_family
 
 Magma = tuple
 
 
 def validate_table(table) -> Magma:
-    """Normalize to a tuple-of-tuples table and check entry ranges."""
+    """Normalize to a tuple-of-tuples table and check that every entry
+    is an int (not a bool) in the carrier range."""
     n = len(table)
     rows = tuple(tuple(row) for row in table)
     for row in rows:
         if len(row) != n:
             raise ValueError("operation table must be square")
-        if any(not (0 <= v < n) for v in row):
-            raise ValueError("table entry out of carrier range")
+        if any(type(v) is not int or not 0 <= v < n for v in row):
+            raise ValueError("table entry is not an integer in the carrier range")
     return rows
 
 
@@ -76,18 +77,10 @@ def quasi_rack_structure(table: Magma) -> Optional[QuasiRack]:
     table = validate_table(table)
     if not is_left_shelf(table):
         return None
-    triples = []
-    for row in table:
-        t = relative_inverse(row)
-        if t is None:
-            return None
-        triples.append(t)
-    zeros = tuple(t.zero for t in triples)
-    for z in zeros:
-        for row in table:
-            if compose(z, row) != compose(row, z):
-                return None
-    return QuasiRack(table, tuple(t.inv for t in triples), zeros)
+    family = regular_family(table)
+    if family is None:
+        return None
+    return QuasiRack(table, family.inv, family.zero)
 
 
 def is_quasi_quandle(q: QuasiRack) -> bool:
@@ -212,9 +205,20 @@ def are_isomorphic(a: Magma, b: Magma) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
+def is_hom(f: FnMap, src: Magma, dst: Magma) -> bool:
+    """f(x |> y) == f(x) |> f(y), with |> taken in src on the left and in
+    dst on the right; f must map src's carrier into dst's."""
+    n = len(src)
+    return all(f[src[x][y]] == dst[f[x]][f[y]] for x in range(n) for y in range(n))
+
+
+def homomorphisms(src: Magma, dst: Magma) -> Iterable[FnMap]:
+    """All magma homomorphisms src -> dst, by brute force over maps."""
+    for f in itertools.product(range(len(dst)), repeat=len(src)):
+        if is_hom(f, src, dst):
+            yield f
+
+
 def endomorphisms(table: Magma) -> Iterable[FnMap]:
     """All magma endomorphisms f: f(x |> y) == f(x) |> f(y)."""
-    n = len(table)
-    for f in itertools.product(range(n), repeat=n):
-        if all(f[table[x][y]] == table[f[x]][f[y]] for x in range(n) for y in range(n)):
-            yield f
+    return homomorphisms(table, table)

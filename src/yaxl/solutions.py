@@ -15,7 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fnmap import FnMap, compose, is_permutation, relative_inverse
+from .fnmap import (
+    FnMap,
+    RegularFamily,
+    commutes,
+    compose,
+    is_permutation,
+    regular_family,
+    relative_inverse,
+)
 from .shelves import Magma, is_left_shelf
 
 
@@ -30,14 +38,6 @@ class Solution:
 
     def apply(self, x: int, y: int):
         return self.lam[x][y], self.rho[y][x]
-
-
-@dataclass(frozen=True)
-class SideData:
-    """Relative inverses and idempotents of one translation family."""
-
-    inv: tuple
-    zero: tuple
 
 
 @dataclass(frozen=True)
@@ -156,29 +156,14 @@ def quasi_bijective(s: Solution) -> Optional[Solution]:
     return s_inv
 
 
-def _quasi_side(family: tuple) -> Optional[SideData]:
-    triples = []
-    for f in family:
-        t = relative_inverse(f)
-        if t is None:
-            return None
-        triples.append(t)
-    zeros = tuple(t.zero for t in triples)
-    for z in zeros:
-        for f in family:
-            if compose(z, f) != compose(f, z):
-                return None
-    return SideData(inv=tuple(t.inv for t in triples), zero=zeros)
-
-
-def quasi_left_nondeg(s: Solution) -> Optional[SideData]:
+def quasi_left_nondeg(s: Solution) -> Optional[RegularFamily]:
     """Every lambda_x completely regular with lambda_x^0 central among
     the lambda family; returns the inverse/idempotent families."""
-    return _quasi_side(s.lam)
+    return regular_family(s.lam)
 
 
-def quasi_right_nondeg(s: Solution) -> Optional[SideData]:
-    return _quasi_side(s.rho)
+def quasi_right_nondeg(s: Solution) -> Optional[RegularFamily]:
+    return regular_family(s.rho)
 
 
 def quasi_nondeg(s: Solution):
@@ -189,7 +174,7 @@ def quasi_nondeg(s: Solution):
     return left, right
 
 
-def check_A(s: Solution, d: SideData) -> bool:
+def check_A(s: Solution, d: RegularFamily) -> bool:
     """lambda^0_{lambda_x(y)} == lambda^0_x lambda^0_y for all pairs."""
     for x in range(s.n):
         zx = d.zero[x]
@@ -199,7 +184,7 @@ def check_A(s: Solution, d: SideData) -> bool:
     return True
 
 
-def check_B(s: Solution, d: SideData) -> bool:
+def check_B(s: Solution, d: RegularFamily) -> bool:
     """rho_y(x) == lambda^0_{lambda_x(y)} rho_{lambda^0_x(y)}(x)."""
     for x in range(s.n):
         zx = d.zero[x]
@@ -209,16 +194,12 @@ def check_B(s: Solution, d: SideData) -> bool:
     return True
 
 
-def check_C(s: Solution, d: SideData) -> bool:
+def check_C(s: Solution, d: RegularFamily) -> bool:
     """lambda^0_x rho_y == rho_y lambda^0_x for all pairs."""
-    for zx in d.zero:
-        for ry in s.rho:
-            if compose(zx, ry) != compose(ry, zx):
-                return False
-    return True
+    return all(commutes(zx, ry) for zx in d.zero for ry in s.rho)
 
 
-def structure_magma(s: Solution, d: SideData) -> Magma:
+def structure_magma(s: Solution, d: RegularFamily) -> Magma:
     """x |>_r y := lambda_x(rho_{lambda^-_y(x)}(y)); no shelf claim."""
     n = s.n
     return tuple(
@@ -226,7 +207,7 @@ def structure_magma(s: Solution, d: SideData) -> Magma:
     )
 
 
-def derived_shelf(s: Solution, d: Optional[SideData] = None) -> Magma:
+def derived_shelf(s: Solution, d: Optional[RegularFamily] = None) -> Magma:
     """The structure magma under conditions (A), (B), (C), asserted a shelf."""
     if d is None:
         d = quasi_left_nondeg(s)
@@ -241,7 +222,7 @@ def derived_shelf(s: Solution, d: Optional[SideData] = None) -> Magma:
 
 
 def verify_section3_identities(
-    s: Solution, d: SideData, a: bool, b: bool, c: bool
+    s: Solution, d: RegularFamily, a: bool, b: bool, c: bool
 ) -> dict:
     """Check the identity packs whose hypotheses among (A), (B), (C) hold.
 
@@ -323,7 +304,7 @@ def lyubashenko(f: FnMap, g: FnMap) -> Solution:
     quasi non-degenerate solution, and cubic (r^3 = r) when g is the
     relative inverse of f.
     """
-    from .fnmap import commutes, is_completely_regular
+    from .fnmap import is_completely_regular
 
     if len(f) != len(g):
         raise ValueError("size mismatch")
@@ -358,7 +339,7 @@ def constant_lambda_twist(s: Solution) -> Solution:
     zero, inv = triple.zero, triple.inv
     n = s.n
     for x in range(n):
-        if compose(zero, s.rho[x]) != compose(s.rho[x], zero):
+        if not commutes(zero, s.rho[x]):
             raise ValueError("lambda^0 does not commute with rho_x")
         if s.rho[x] != compose(zero, s.rho[zero[x]]):
             raise ValueError("rho_x != lambda^0 rho_{lambda^0(x)}")

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fnmap import compose, relative_inverse
-from .shelves import Magma, is_left_shelf, validate_table
+from .fnmap import RegularFamily, commutes, compose, relative_inverse
+from .shelves import Magma, is_hom, is_left_shelf, validate_table
 from .solutions import (
-    SideData,
     Solution,
     check_A,
     check_B,
@@ -49,7 +48,7 @@ def make_twist_family(table: Magma, phi) -> TwistFamily:
         raise ValueError("base table is not a left shelf")
     invs, zeros = [], []
     for p in phi:
-        if any(p[table[x][y]] != table[p[x]][p[y]] for x in range(n) for y in range(n)):
+        if not is_hom(p, table, table):
             raise ValueError("phi_a is not a shelf endomorphism")
         t = relative_inverse(p)
         if t is None:
@@ -62,16 +61,7 @@ def make_twist_family(table: Magma, phi) -> TwistFamily:
 def phi_triple_is_endomorphic(t: TwistFamily) -> bool:
     """phi_a^0 and phi_a^- are shelf endomorphisms whenever phi_a^0
     commutes with every translation (checked on all a)."""
-    n = t.n
-    for a in range(n):
-        for f in (t.phi_zero[a], t.phi_inv[a]):
-            if any(
-                f[t.table[x][y]] != t.table[f[x]][f[y]]
-                for x in range(n)
-                for y in range(n)
-            ):
-                return False
-    return True
+    return all(is_hom(f, t.table, t.table) for f in t.phi_zero + t.phi_inv)
 
 
 def l0_com_holds(t: TwistFamily) -> bool:
@@ -86,7 +76,7 @@ def l0_com_holds(t: TwistFamily) -> bool:
     for a in range(n):
         za = zero[a]
         for b in range(n):
-            if compose(za, L[b]) != compose(L[b], za):
+            if not commutes(za, L[b]):
                 return False
             if zero[t.phi[a][b]] != compose(za, zero[b]):
                 return False
@@ -118,9 +108,7 @@ def phi_idempotents_central(t: TwistFamily) -> bool:
     the right-trivial shelf x |> y = y with phi_a constant at a is a
     g-twist whose r_phi(a, b) = (a, a) is not quasi left non-degenerate.
     """
-    return all(
-        compose(z, f) == compose(f, z) for z in t.phi_zero for f in t.phi
-    )
+    return all(commutes(z, f) for z in t.phi_zero for f in t.phi)
 
 
 def is_g_twist(t: TwistFamily) -> bool:
@@ -181,7 +169,7 @@ def twist_theorem_roundtrip(t: TwistFamily) -> bool:
     return lhs == rhs
 
 
-def twist_from_solution(s: Solution, d: Optional[SideData] = None) -> TwistFamily:
+def twist_from_solution(s: Solution, d: Optional[RegularFamily] = None) -> TwistFamily:
     """Extract the twist presentation of a quasi-lnd (A)(B)(C) solution:
     the lambda family over its structure magma."""
     if d is None:

@@ -4,7 +4,7 @@ profiles, and generators for Plonka systems of small racks."""
 import itertools
 
 from yaxl.constructions import (
-    StrongSemilatticeSystem,
+    SemilatticeSystem,
     clifford_from_system,
     cyclic_group,
     deformed_quasi_rack,
@@ -43,7 +43,7 @@ def two_chain_clifford():
     meet = ((0, 0), (0, 1))
     z2 = cyclic_group(2)
     homs = {(0, 0): (0, 1), (1, 1): (0, 1), (1, 0): (0, 1)}
-    return clifford_from_system(StrongSemilatticeSystem(meet, (z2, z2), homs))
+    return clifford_from_system(SemilatticeSystem(meet, (z2, z2), homs))
 
 
 def deformed_fixture():

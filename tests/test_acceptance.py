@@ -230,12 +230,18 @@ def test_stored_counterexamples():
 
 
 def test_question_searches_terminate():
+    # exhaustive (checked, candidates) per question and size
+    expected = {
+        (search_question1, "pairs_checked"): {1: (1, 0), 2: (100, 8), 3: (393129, 1008)},
+        (search_question2, "solutions_meeting_hypotheses"): {1: (1, 0), 2: (14, 4), 3: (264, 78)},
+    }
     for n in (1, 2, 3):
-        for fn in (search_question1, search_question2):
+        for (fn, checked_key), counts in expected.items():
             start = time.monotonic()
             report = fn(n)
             assert time.monotonic() - start < 1800
             assert report["exhaustive"]
+            assert (report[checked_key], len(report["candidates"])) == counts[n]
             # the open status is preserved verbatim; no answer is asserted
             assert "open question" in report["status"]
             assert "asserts no answer" in report["status"]

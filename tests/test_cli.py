@@ -4,7 +4,7 @@ import pytest
 
 from fixtures import dihedral_quandle, trivial_quandle, two_chain_clifford
 from yaxl.cli import main
-from yaxl.constructions import StrongSemilatticeSystem, cyclic_group, trivial_brace
+from yaxl.constructions import SemilatticeSystem, cyclic_group, trivial_brace
 from yaxl.fnmap import identity
 from yaxl.plonka import PlonkaSystem
 from yaxl.serialization import (
@@ -125,7 +125,7 @@ def test_derive_rejects_non_quasi_rack(tmp_path):
 
 def test_construct_clifford_and_conjugation(tmp_path, capsys):
     z2 = cyclic_group(2)
-    sys_ = StrongSemilatticeSystem(
+    sys_ = SemilatticeSystem(
         ((0, 0), (0, 1)), (z2, z2), {(0, 0): (0, 1), (1, 1): (0, 1), (1, 0): (0, 1)}
     )
     spath = write(tmp_path, "sys.json", system_to_json(sys_))
@@ -136,6 +136,49 @@ def test_construct_clifford_and_conjugation(tmp_path, capsys):
     qpath = str(tmp_path / "conj.txt")
     assert main(["construct", "conjugation", cpath, "-o", qpath]) == 0
     assert quasi_rack_structure(magma_from_text(open(qpath).read())) is not None
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_Z2 = cyclic_group(2)
+_CHAIN = ((0, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "sys_",
+    [
+        # image outside the bottom fiber
+        SemilatticeSystem(_CHAIN, (_Z2, _Z2), {(0, 0): (0, 1), (1, 1): (0, 1), (1, 0): (0, 5)}),
+        # map shorter than the top fiber
+        SemilatticeSystem(_CHAIN, (_Z2, _Z2), {(0, 0): (0, 1), (1, 1): (0, 1), (1, 0): (0,)}),
+        # a fiber that is a semilattice, not a group
+        SemilatticeSystem(((0,),), (((0, 0), (0, 1)),), {(0, 0): (0, 1)}),
+    ],
+    ids=["map-out-of-range", "map-too-short", "fiber-not-a-group"],
+)
+def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
+    path = write(tmp_path, "sys.json", system_to_json(sys_))
+    assert main(["construct", "clifford", path]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("shelf", '{"n": 2, "table": [[0, "a"], [0, 1]]}'),
+        ("shelf", '{"n": 2, "table": [[0, true], [0, 1]]}'),
+        ("solution", "2\n0 1\n0 1\n"),  # cut off after the lambda block
+        ("shelf", "-1\n"),
+    ],
+    ids=["string-entry", "bool-entry", "solution-cut-off", "negative-size"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, kind, content):
+    path = write(tmp_path, "in.txt", content)
+    assert main(["check", kind, path]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_construct_deformed_needs_idempotent(tmp_path):

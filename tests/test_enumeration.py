@@ -1,5 +1,6 @@
 import pytest
 
+from yaxl import enumeration
 from yaxl.enumeration import (
     CLASSES,
     EnumerationSpec,
@@ -8,7 +9,6 @@ from yaxl.enumeration import (
     enumerate_spec,
     search_question1,
     search_question2,
-    size_guard,
     table1_row,
     TABLE1_EXPECTED,
 )
@@ -30,14 +30,15 @@ def test_spec_validation():
 
 
 def test_size_guard(monkeypatch):
-    assert size_guard() == 5
-    monkeypatch.setenv("YAXL_MAX_N", "7")
-    assert size_guard() == 7
-    monkeypatch.setenv("YAXL_MAX_N", "2")
-    assert size_guard() == 5  # never below the default
-    monkeypatch.delenv("YAXL_MAX_N")
+    assert enumeration.SIZE_GUARD == 5
     with pytest.raises(ValueError):
         enumerate_canonical(6, "quandle")
+    # the override bypasses the guard (shown on a lowered guard, since a
+    # real n = 6 enumeration is slow)
+    monkeypatch.setattr(enumeration, "SIZE_GUARD", 2)
+    with pytest.raises(ValueError):
+        enumerate_canonical(3, "quandle")
+    assert len(enumerate_canonical(3, "quandle", override=True)) == 3
 
 
 def test_known_rack_and_quandle_counts():

@@ -9,6 +9,7 @@ from fixtures import (
     rack_homs,
     trivial_quandle,
 )
+from yaxl.constructions import validate_system
 from yaxl.plonka import (
     PlonkaSystem,
     decompose,
@@ -16,13 +17,13 @@ from yaxl.plonka import (
     roundtrip,
     solution_as_strong_semilattice,
     sum_structure_check,
-    validate_plonka,
 )
 from yaxl.shelves import (
     are_isomorphic,
     check_star,
     check_starstarstar,
     is_quasi_quandle,
+    is_rack,
     quasi_rack_structure,
 )
 
@@ -44,15 +45,15 @@ def test_validate_plonka_errors():
     d3 = dihedral_quandle(3)
     t1 = trivial_quandle(1)
     good = two_chain(t1, d3, (0, 0, 0))
-    validate_plonka(good)
+    validate_system(good, is_rack)
     with pytest.raises(ValueError):
-        validate_plonka(two_chain(t1, d3, (0, 0)))  # wrong shape
+        validate_system(two_chain(t1, d3, (0, 0)), is_rack)  # wrong shape
     with pytest.raises(ValueError):
         # fiber that is not a rack (rows not bijective)
-        validate_plonka(two_chain(((0, 0), (0, 0)), d3, (0, 0, 0)))
+        validate_system(two_chain(((0, 0), (0, 0)), d3, (0, 0, 0)), is_rack)
     with pytest.raises(ValueError):
         # non-homomorphism gluing: collapses 0, 1 but not affinely
-        validate_plonka(two_chain(d3, d3, (0, 0, 1)))
+        validate_system(two_chain(d3, d3, (0, 0, 1)), is_rack)
 
 
 def test_sum_over_point_is_fiber():

@@ -1,7 +1,7 @@
 import pytest
 
 from fixtures import dihedral_quandle, trivial_quandle, two_chain_clifford
-from yaxl.constructions import StrongSemilatticeSystem, cyclic_group, trivial_brace
+from yaxl.constructions import SemilatticeSystem, cyclic_group, trivial_brace
 from yaxl.fnmap import identity
 from yaxl.plonka import PlonkaSystem, plonka_sum
 from yaxl.serialization import (
@@ -80,7 +80,7 @@ def test_twist_json_roundtrip():
 def test_system_json_roundtrip():
     z2 = cyclic_group(2)
     meet = ((0, 0), (0, 1))
-    sys = StrongSemilatticeSystem(
+    sys = SemilatticeSystem(
         meet, (z2, z2), {(0, 0): (0, 1), (1, 1): (0, 1), (1, 0): (0, 1)}
     )
     assert system_from_json(system_to_json(sys)) == sys
