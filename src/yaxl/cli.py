@@ -226,8 +226,7 @@ def cmd_construct(args) -> int:
     prov = _provenance(text.encode())
     if args.what == "plonka-sum":
         p = serialization.plonka_from_json(text)
-        table = plonka.plonka_sum(p)
-        plonka.sum_structure_check(p)
+        table = plonka.checked_sum(p).table
     elif args.what == "clifford":
         sys_ = serialization.system_from_json(text)
         table = constructions.clifford_from_system(sys_).mul

@@ -4,15 +4,21 @@ searches.
 
 The backtracker places left-translation rows one at a time.  Candidate
 rows are permutations (rack/quandle), completely regular maps (quasi
-classes) or arbitrary maps (shelf).  After placing row k every
-self-distributivity pair whose three participating rows are now all
-placed is checked, as is idempotent-centrality against all placed rows,
-so a completed assignment satisfies the class axioms by construction.
-Isomorphism rejection keeps only tables equal to their canonical form.
+classes) or arbitrary maps (shelf), indexed once per search.  After
+placing row k every self-distributivity pair whose three participating
+rows are now all placed is checked pointwise, so a completed assignment
+satisfies the class axioms by construction.  Two prunings skip only
+candidates that this check, or the class axioms, would reject:
 
-Maps are interned to integer ids with a memoized composition table; on
-four points there are only 256 maps, so everything stays in small-int
-land during the hot search.
+- idempotent centrality (quasi classes) depends only on a pair of
+  candidates, so it is precomputed as one bitmask of compatible
+  candidates per candidate, and the search carries the intersection of
+  the masks of the placed rows;
+- when a placed row L_x is a bijection and L_x(y) = k for a placed y,
+  self-distributivity forces L_k = L_x L_y L_x^-1, and only that
+  candidate is tried.
+
+Isomorphism rejection keeps only tables equal to their canonical form.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .fnmap import commutes, is_completely_regular, relative_inverse
+from .fnmap import commutes, is_completely_regular, is_permutation, relative_inverse
 from .shelves import (
     canonical_form,
     check_star,
@@ -74,34 +80,6 @@ class EnumerationSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-class _Universe:
-    """Interned transformations of a fixed carrier with memoized composition."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.maps: list = []
-        self.id_of: dict = {}
-        self._comp: dict = {}
-
-    def intern(self, f) -> int:
-        i = self.id_of.get(f)
-        if i is None:
-            i = len(self.maps)
-            self.id_of[f] = i
-            self.maps.append(f)
-        return i
-
-    def comp(self, i: int, j: int) -> int:
-        key = (i, j)
-        r = self._comp.get(key)
-        if r is None:
-            g = self.maps[j]
-            f = self.maps[i]
-            r = self.intern(tuple(f[x] for x in g))
-            self._comp[key] = r
-        return r
-
-
 def _regular_candidates(n: int) -> list:
     """(map, idempotent) for every completely regular map on n points."""
     return [
@@ -111,9 +89,9 @@ def _regular_candidates(n: int) -> list:
     ]
 
 
-def _row_candidates(n: int, klass: str) -> list:
-    """Per-row candidate lists of (map, zero-or-None); quandle classes pin
-    the diagonal."""
+def _row_candidates(n: int, klass: str) -> tuple:
+    """The candidate (map, zero-or-None) pairs of the class, and per row
+    the indices of those allowed there; quandle classes pin the diagonal."""
     if klass in ("rack", "quandle"):
         base = [(tuple(p), None) for p in itertools.permutations(range(n))]
     elif klass in _QUASI:
@@ -121,63 +99,95 @@ def _row_candidates(n: int, klass: str) -> list:
     else:
         base = [(f, None) for f in itertools.product(range(n), repeat=n)]
     if klass in ("quandle", "quasi_quandle"):
-        return [[(f, z) for f, z in base if f[x] == x] for x in range(n)]
-    return [list(base) for _ in range(n)]
+        rows = [[i for i, (f, _) in enumerate(base) if f[x] == x] for x in range(n)]
+    else:
+        rows = [list(range(len(base))) for _ in range(n)]
+    return base, rows
+
+
+def _compat_masks(base) -> list:
+    """Bit j of mask i is set iff the idempotent of candidate i commutes
+    with map j and the idempotent of j with map i.
+
+    The commute tests are made once per distinct idempotent, not per pair.
+    """
+    members: dict = {}
+    for i, (_, z) in enumerate(base):
+        members[z] = members.get(z, 0) | (1 << i)
+    commuting = {}  # idempotent -> maps commuting with it
+    central = [0] * len(base)  # map -> candidates whose idempotent commutes with it
+    for z, group in members.items():
+        mask = 0
+        for j, (f, _) in enumerate(base):
+            if commutes(z, f):
+                mask |= 1 << j
+                central[j] |= group
+        commuting[z] = mask
+    return [commuting[z] & central[i] for i, (_, z) in enumerate(base)]
 
 
 def _search_labeled(n: int, klass: str, first_rows=None):
     """Yield every labeled table of the class, depth-first.
 
-    ``first_rows`` restricts row 0 to the given candidate indices (used
-    to split the tree across workers).
+    ``first_rows`` restricts row 0 to the given indices into its
+    candidate list (used to split the tree across workers).
     """
-    u = _Universe(n)
-    quasi = klass in _QUASI
-    cands = []
-    for per_row in _row_candidates(n, klass):
-        cands.append(
-            [(u.intern(f), u.intern(z) if z is not None else -1) for f, z in per_row]
-        )
+    base, row_cands = _row_candidates(n, klass)
+    maps = [f for f, _ in base]
     if first_rows is not None:
-        cands[0] = [cands[0][i] for i in first_rows]
-    maps = u.maps
-    comp = u.comp
-    rows = [0] * n
-    zeros = [0] * n
+        row_cands[0] = [row_cands[0][i] for i in first_rows]
+    row_masks = [sum(1 << i for i in c) for c in row_cands]
+    if klass in _QUASI:
+        compat = _compat_masks(base)
+    else:
+        compat = [-1] * len(base)
+    index = {f: i for i, f in enumerate(maps)}
+    inverses = {f: relative_inverse(f).inv for f in maps if is_permutation(f)}
+    rows = [None] * n
+    span = range(n)
 
     def place_ok(k: int) -> bool:
         for x in range(k + 1):
-            mx = maps[rows[x]]
+            mx = rows[x]
             for y in range(k + 1):
                 t = mx[y]
                 if t > k:
                     continue
                 if x != k and y != k and t != k:
                     continue  # already checked when its last row appeared
-                if comp(rows[x], rows[y]) != comp(rows[t], rows[x]):
-                    return False
-        if quasi:
-            rk, zk = rows[k], zeros[k]
-            if comp(zk, rk) != comp(rk, zk):
-                return False
-            for x in range(k):
-                if comp(zeros[x], rk) != comp(rk, zeros[x]):
-                    return False
-                if comp(zk, rows[x]) != comp(rows[x], zk):
-                    return False
+                my, mt = rows[y], rows[t]
+                for z in span:
+                    if mx[my[z]] != mt[mx[z]]:
+                        return False
         return True
 
-    def rec(k: int):
-        if k == n:
-            yield tuple(maps[r] for r in rows)
-            return
-        for rid, zid in cands[k]:
-            rows[k] = rid
-            zeros[k] = zid
-            if place_ok(k):
-                yield from rec(k + 1)
+    def forced_row(k: int):
+        # L_x L_y = L_k L_x with L_x invertible fixes L_k.
+        for x in range(k):
+            inv = inverses.get(rows[x])
+            if inv is not None and inv[k] < k:
+                mx, my = rows[x], rows[inv[k]]
+                return tuple(mx[my[v]] for v in inv)
+        return None
 
-    yield from rec(0)
+    def rec(k: int, mask: int):
+        if k == n:
+            yield tuple(rows)
+            return
+        todo = mask & row_masks[k]
+        forced = forced_row(k)
+        if forced is not None:
+            i = index.get(forced)
+            todo &= 0 if i is None else 1 << i
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            rows[k] = maps[i]
+            if place_ok(k):
+                yield from rec(k + 1, mask & compat[i])
+
+    yield from rec(0, -1)
 
 
 def _passes_filters(table, filters) -> bool:
@@ -221,7 +231,7 @@ def enumerate_canonical(
             if t == canonical_form(t)
         ]
     else:
-        total = len(_row_candidates(n, klass)[0])
+        total = len(_row_candidates(n, klass)[1][0])
         chunks = [list(range(i, total, workers)) for i in range(workers)]
         chunks = [c for c in chunks if c]
         survivors = []

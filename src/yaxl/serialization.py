@@ -134,9 +134,12 @@ def _system_to_json(sys: SemilatticeSystem, fiber_key: str) -> str:
 
 def _system_from_json(text: str, fiber_key: str) -> SemilatticeSystem:
     data = json.loads(text)
-    meet = validate_table(data["semilattice"]["meet"])
-    fibers = tuple(validate_table(f) for f in data[fiber_key])
-    homs = {(h["from"], h["to"]): tuple(h["map"]) for h in data["homs"]}
+    try:
+        meet = validate_table(data["semilattice"]["meet"])
+        fibers = tuple(validate_table(f) for f in data[fiber_key])
+        homs = {(h["from"], h["to"]): tuple(h["map"]) for h in data["homs"]}
+    except TypeError:
+        raise ValueError("system is not laid out as documented") from None
     return SemilatticeSystem(meet, fibers, homs)
 
 

@@ -21,13 +21,17 @@ Magma = tuple
 def validate_table(table) -> Magma:
     """Normalize to a tuple-of-tuples table and check that every entry
     is an int (not a bool) in the carrier range."""
-    n = len(table)
-    rows = tuple(tuple(row) for row in table)
+    try:
+        n = len(table)
+        rows = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise ValueError("operation table must be a list of rows") from None
     for row in rows:
         if len(row) != n:
             raise ValueError("operation table must be square")
-        if any(type(v) is not int or not 0 <= v < n for v in row):
-            raise ValueError("table entry is not an integer in the carrier range")
+        for v in row:
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError("table entry is not an integer in the carrier range")
     return rows
 
 
@@ -190,13 +194,30 @@ def relabel(table: Magma, perm: FnMap) -> Magma:
 def canonical_form(table: Magma) -> Magma:
     """Lexicographically least relabeling over all carrier permutations.
 
-    Full n!-orbit minimization; guarded to small carriers since the
-    target sizes are tiny.
+    Starts from the table itself.  For each permutation the relabeled
+    table is built one row at a time and compared with the best so far:
+    the permutation is dropped at the first greater row, and a table is
+    materialised only when a row is smaller.  Every one of the n!
+    permutations is still visited, so carriers are limited to size 8.
     """
     n = len(table)
     if n > 8:
         raise ValueError("canonical_form is limited to carriers of size <= 8")
-    return min(relabel(table, p) for p in itertools.permutations(range(n)))
+    best = tuple(tuple(row) for row in table)
+    p = [0] * n
+    for q in itertools.permutations(range(n)):
+        # q[i] is the old name of the new label i; p inverts it
+        for i, v in enumerate(q):
+            p[v] = i
+        for i, old in enumerate(best):
+            row = table[q[i]]
+            new = tuple(p[row[v]] for v in q)
+            if new != old:
+                if new < old:
+                    rest = (tuple(p[table[u][v]] for v in q) for u in q[i + 1:])
+                    best = best[:i] + (new,) + tuple(rest)
+                break
+    return best
 
 
 def are_isomorphic(a: Magma, b: Magma) -> bool:

@@ -40,9 +40,9 @@ def make_twist_family(table: Magma, phi) -> TwistFamily:
     """Validate and cache: each phi_a must be an endomorphism of the base
     shelf and completely regular."""
     table = validate_table(table)
-    n = len(table)
-    phi = tuple(tuple(p) for p in phi)
-    if len(phi) != n:
+    # n maps on n points: the same shape as a table
+    phi = validate_table(phi)
+    if len(phi) != len(table):
         raise ValueError("need one map per carrier element")
     if not is_left_shelf(table):
         raise ValueError("base table is not a left shelf")

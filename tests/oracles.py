@@ -74,3 +74,23 @@ def naive_class_tables(n, klass):
                 yield t
         else:
             raise ValueError(klass)
+
+
+def naive_relabel(t, p):
+    """The table of the operation transported along the permutation p."""
+    n = len(t)
+    out = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[p[x]][p[y]] = p[t[x][y]]
+    return tuple(tuple(row) for row in out)
+
+
+def naive_canonical_form(t):
+    """The least of all n! relabelings, each built in full."""
+    return min(naive_relabel(t, p) for p in itertools.permutations(range(len(t))))
+
+
+def naive_automorphism_count(t):
+    """The number of permutations that fix the table."""
+    return sum(naive_relabel(t, p) == t for p in itertools.permutations(range(len(t))))

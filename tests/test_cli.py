@@ -172,8 +172,28 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
         ("shelf", '{"n": 2, "table": [[0, true], [0, 1]]}'),
         ("solution", "2\n0 1\n0 1\n"),  # cut off after the lambda block
         ("shelf", "-1\n"),
+        ("shelf", '{"n": 1, "table": [5]}'),
+        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 5], [0, 1]]}'),
+        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, -1], [0, 1]]}'),
+        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, true], [0, 1]]}'),
+        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 1], [0]]}'),
+        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 1]]}'),
+        ("plonka", '{"semilattice": {"m": 1, "meet": [[0]]}, "fibers": [[[0]]], '
+                   '"homs": [{"from": 0, "to": 0, "map": 5}]}'),
     ],
-    ids=["string-entry", "bool-entry", "solution-cut-off", "negative-size"],
+    ids=[
+        "string-entry",
+        "bool-entry",
+        "solution-cut-off",
+        "negative-size",
+        "row-not-a-list",
+        "phi-out-of-range",
+        "phi-negative",
+        "phi-bool",
+        "phi-short-map",
+        "phi-too-few-maps",
+        "hom-map-not-a-list",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, kind, content):
     path = write(tmp_path, "in.txt", content)

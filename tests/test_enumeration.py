@@ -1,5 +1,8 @@
+from math import factorial
+
 import pytest
 
+from oracles import naive_automorphism_count
 from yaxl import enumeration
 from yaxl.enumeration import (
     CLASSES,
@@ -11,6 +14,7 @@ from yaxl.enumeration import (
     search_question2,
     table1_row,
     TABLE1_EXPECTED,
+    _search_labeled,
 )
 from yaxl.shelves import canonical_form, is_quandle, is_rack, quasi_rack_structure
 
@@ -121,3 +125,35 @@ def test_search_question2_small():
     assert "open question" in report["status"]
     with pytest.raises(ValueError):
         search_question2(4)
+
+
+# Labeled tables yielded by the backtracker, pinned before the search was
+# pruned; the pruning may drop no table and add none.
+LABELED_COUNTS = {
+    (3, "shelf"): 224,
+    (4, "quasi_rack"): 5878,
+    (4, "quasi_quandle"): 1008,
+    (5, "rack"): 1708,
+    (5, "quandle"): 404,
+}
+
+
+@pytest.mark.parametrize("n, klass", sorted(LABELED_COUNTS))
+def test_labeled_counts(n, klass):
+    assert sum(1 for _ in _search_labeled(n, klass)) == LABELED_COUNTS[n, klass]
+
+
+@pytest.mark.parametrize(
+    "n, klass",
+    [(n, k) for n in (1, 2, 3, 4) for k in CLASSES] + [(5, "rack"), (5, "quandle")],
+)
+def test_orbit_stabilizer(n, klass):
+    # every labeled table is one relabeling of one canonical table, and a
+    # class with automorphism group Aut(T) has n!/|Aut(T)| labeled tables
+    labeled = 0
+    orbits = 0
+    for t in _search_labeled(n, klass):
+        labeled += 1
+        if t == canonical_form(t):
+            orbits += factorial(n) // naive_automorphism_count(t)
+    assert orbits == labeled

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixtures import DS_NO_CONDITIONS, SSS_NOT_STAR, STAR_NOT_STARSTAR, dihedral_quandle, trivial_quandle
+from oracles import naive_canonical_form
 from yaxl.fnmap import compose, identity
 from yaxl.shelves import (
     are_isomorphic,
@@ -32,6 +33,11 @@ def test_validate_table_errors():
         validate_table(((0, 1), (0,)))
     with pytest.raises(ValueError):
         validate_table(((0, 2), (0, 1)))
+    # tables and rows that are not sequences
+    with pytest.raises(ValueError):
+        validate_table([5])
+    with pytest.raises(ValueError):
+        validate_table(5)
 
 
 def test_dihedral_quandle():
@@ -95,6 +101,24 @@ def test_relabel_and_canonical():
         assert are_isomorphic(t, r)
         assert canonical_form(r) == canonical_form(t)
     assert canonical_form(canonical_form(t)) == canonical_form(t)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_canonical_form_matches_naive_on_random_tables(rows):
+    table = tuple(tuple(r) for r in rows)
+    assert canonical_form(table) == naive_canonical_form(table)
+    # a list-of-lists input gives the same tuple-of-tuples result
+    assert canonical_form(rows) == naive_canonical_form(table)
+
+
+def test_canonical_form_matches_naive_on_labeled_quasi_racks():
+    from yaxl.enumeration import _search_labeled
+
+    tables = list(_search_labeled(4, "quasi_rack"))
+    assert len(tables) == 5878
+    assert all(canonical_form(t) == naive_canonical_form(t) for t in tables)
 
 
 def test_canonical_guard():
