@@ -136,11 +136,10 @@ def cmd_check(args) -> int:
         }
         ok = report["clifford"]
     elif args.kind == "weak-brace":
-        data = json.loads(text)
+        data = serialization.json_object(text, "add", "mul")
         report = constructions.weak_brace_validate(data["add"], data["mul"])
         if report["valid"]:
-            b = constructions.make_weak_brace(data["add"], data["mul"])
-            report["dual"] = constructions.is_dual(b)
+            report["dual"] = constructions.is_clifford(data["mul"])
         ok = report["valid"]
     elif args.kind == "twist":
         t = serialization.twist_from_json(text)

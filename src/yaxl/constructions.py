@@ -23,6 +23,7 @@ from .shelves import (
     is_hom,
     is_quasi_quandle,
     quasi_rack_structure,
+    relabel,
     validate_table,
 )
 from .solutions import Solution
@@ -34,17 +35,10 @@ from .solutions import Solution
 
 def is_semilattice(meet) -> bool:
     """Idempotent + commutative + associative, exhaustively."""
-    m = len(meet)
-    for a in range(m):
-        if meet[a][a] != a:
+    for a, row in enumerate(meet):
+        if row[a] != a or any(row[b] != meet[b][a] for b in range(a)):
             return False
-        for b in range(m):
-            if meet[a][b] != meet[b][a]:
-                return False
-            for c in range(m):
-                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
-                    return False
-    return True
+    return is_associative(meet)
 
 
 def semilattice_geq(meet, a: int, b: int) -> bool:
@@ -89,11 +83,9 @@ def is_group(table: Magma) -> bool:
     for a in range(n):
         if len(set(table[a])) != n or len({table[x][a] for x in range(n)}) != n:
             return False
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return False
-    return any(all(table[e][x] == x and table[x][e] == x for x in range(n)) for e in range(n))
+    return is_associative(table) and any(
+        all(table[e][x] == x and table[x][e] == x for x in range(n)) for e in range(n)
+    )
 
 
 def group_identity(table: Magma) -> int:
@@ -106,15 +98,13 @@ def group_identity(table: Magma) -> int:
 
 def labeled_groups(n: int):
     """All group Cayley tables on the carrier {0, ..., n-1}."""
-    seen = set()
-    for template in groups_of_order(n):
-        for perm in itertools.permutations(range(n)):
-            table = [[0] * n for _ in range(n)]
-            for x in range(n):
-                for y in range(n):
-                    table[perm[x]][perm[y]] = perm[template[x][y]]
-            seen.add(tuple(tuple(row) for row in table))
-    return sorted(seen)
+    return sorted(
+        {
+            relabel(template, perm)
+            for template in groups_of_order(n)
+            for perm in itertools.permutations(range(n))
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +140,14 @@ def semigroup_inverses(mul: Magma) -> Optional[tuple]:
 
 
 def is_associative(mul: Magma) -> bool:
-    n = len(mul)
-    return all(
-        mul[mul[a][b]][c] == mul[a][mul[b][c]]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
+    """(ab)c == a(bc) for all triples."""
+    for ma in mul:
+        for b, ab in enumerate(ma):
+            mab = mul[ab]
+            for c, bc in enumerate(mul[b]):
+                if mab[c] != ma[bc]:
+                    return False
+    return True
 
 
 def is_inverse_semigroup(mul: Magma) -> bool:
@@ -234,6 +225,9 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
         if not fiber_ok(validate_table(f)):
             raise ValueError(f"fiber {k} fails {fiber_ok.__name__}")
     m = sys.points
+    for a, b in itertools.product(range(m), repeat=2):
+        if semilattice_geq(sys.meet, a, b) and (a, b) not in sys.homs:
+            raise ValueError(f"phi[{(a, b)}] is missing")
     for a in range(m):
         if sys.homs[(a, a)] != tuple(range(len(sys.fibers[a]))):
             raise ValueError("phi[(a, a)] must be the identity")
@@ -448,6 +442,8 @@ def weak_brace_validate(add: Magma, mul: Magma) -> dict:
     """Full exhaustive law check; the report itemizes every failure."""
     add, mul = validate_table(add), validate_table(mul)
     n = len(add)
+    if len(mul) != n:
+        raise ValueError("add and mul tables differ in size")
     report = {
         "add_clifford": is_clifford(add),
         "mul_inverse_semigroup": is_inverse_semigroup(mul),

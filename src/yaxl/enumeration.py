@@ -40,7 +40,6 @@ from .shelves import (
 )
 from .solutions import (
     Solution,
-    _braid_holds,
     check_A,
     check_B,
     check_C,
@@ -325,28 +324,28 @@ def _note(n: int, exhaustive: bool, checked: int, candidates: list) -> str:
 
 def _quasi_families(n: int, cands):
     """Families (f_0, ..., f_{n-1}) of completely regular maps whose
-    idempotents commute with every member, by pruned backtracking.
+    idempotents commute with every member, in candidate order.
 
-    ``cands`` is a list of (map, zero) pairs.
+    ``cands`` is a list of (map, zero) pairs; the members of a family
+    are pairwise compatible under ``_compat_masks``.
     """
+    compat = _compat_masks(cands)
     chosen = []
 
-    def rec(k: int):
+    def rec(k: int, mask: int):
         if k == n:
-            yield tuple(f for f, _ in chosen)
+            yield tuple(chosen)
             return
-        for f, z in cands:
-            ok = True
-            for g, w in chosen:
-                if not (commutes(z, g) and commutes(w, f)):
-                    ok = False
-                    break
-            if ok and commutes(z, f):
-                chosen.append((f, z))
-                yield from rec(k + 1)
-                chosen.pop()
+        todo = mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            chosen.append(cands[i][0])
+            yield from rec(k + 1, mask & compat[i])
+            chosen.pop()
 
-    yield from rec(0)
+    yield from rec(0, (1 << len(cands)) - 1)
 
 
 def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
@@ -372,7 +371,7 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
             for rho in lam_families:
                 checked += 1
                 s = Solution(lam=lam, rho=rho)
-                if not _braid_holds(s):
+                if not is_solution(s):
                     continue
                 # quasi non-degenerate by construction of the families
                 if quasi_bijective(s) is None:
@@ -382,14 +381,17 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
         if seed is None:
             raise ValueError("sampling requires an explicit seed")
         rng = random.Random(seed)
+        compat = _compat_masks(cands)
+        picks = range(len(cands))
         for _ in range(samples):
-            lam = tuple(rng.choice(cands) for _ in range(n))
-            rho = tuple(rng.choice(cands) for _ in range(n))
-            if not all(commutes(z, g) for _, z in lam + rho for g, _ in lam + rho):
+            # lambda_0..lambda_{n-1}, then rho_0..rho_{n-1}
+            idx = [rng.choice(picks) for _ in range(2 * n)]
+            if not all(compat[i] >> j & 1 for i in idx for j in idx):
                 continue
             checked += 1
-            s = Solution(lam=tuple(f for f, _ in lam), rho=tuple(f for f, _ in rho))
-            if not _braid_holds(s):
+            maps = [cands[i][0] for i in idx]
+            s = Solution(lam=tuple(maps[:n]), rho=tuple(maps[n:]))
+            if not is_solution(s):
                 continue
             if quasi_bijective(s) is None:
                 candidates.append(s)
@@ -419,7 +421,7 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
 
     def consider(s: Solution):
         nonlocal checked
-        if not _braid_holds(s):
+        if not is_solution(s):
             return
         d = quasi_left_nondeg(s)
         if d is None:

@@ -142,3 +142,15 @@ def regular_family(family) -> Optional[RegularFamily]:
             if not commutes(z, f):
                 return None
     return RegularFamily(tuple(t.inv for t in triples), zeros)
+
+
+def zeros_multiplicative(family, zero) -> bool:
+    """zero[f_x(y)] == zero[x] zero[y] for all x, y, where f_x = family[x]
+    and zero[x] is its idempotent: condition (*) of a quasi rack and (A)
+    of a solution, on the translations and on the lambda family."""
+    for x, fx in enumerate(family):
+        zx = zero[x]
+        for y, t in enumerate(fx):
+            if zero[t] != compose(zx, zero[y]):
+                return False
+    return True

@@ -52,6 +52,18 @@ def _parse_size(lines) -> int:
     return n
 
 
+def json_object(text: str, *keys: str) -> dict:
+    """Parse a JSON text whose top level must be an object holding every
+    one of ``keys``."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("top-level JSON value is not an object")
+    for k in keys:
+        if k not in data:
+            raise ValueError(f"JSON object has no {k!r} key")
+    return data
+
+
 def magma_to_text(table: Magma) -> str:
     n = len(table)
     return "\n".join([str(n)] + [" ".join(map(str, row)) for row in table]) + "\n"
@@ -67,7 +79,7 @@ def magma_to_json(table: Magma) -> str:
 
 
 def magma_from_json(text: str) -> Magma:
-    data = json.loads(text)
+    data = json_object(text, "n", "table")
     table = validate_table(data["table"])
     if len(table) != data["n"]:
         raise ValueError("declared size does not match the table")
@@ -100,10 +112,10 @@ def solution_to_json(s: Solution) -> str:
 
 
 def solution_from_json(text: str) -> Solution:
-    data = json.loads(text)
+    data = json_object(text, "n", "lambda", "rho")
     lam = validate_table(data["lambda"])
     rho = validate_table(data["rho"])
-    if len(lam) != data["n"]:
+    if not len(lam) == len(rho) == data["n"]:
         raise ValueError("declared size does not match the tables")
     return Solution(lam=lam, rho=rho)
 
@@ -115,7 +127,7 @@ def twist_to_json(t: TwistFamily) -> str:
 
 
 def twist_from_json(text: str) -> TwistFamily:
-    data = json.loads(text)
+    data = json_object(text, "shelf", "phi")
     return make_twist_family(data["shelf"], data["phi"])
 
 
@@ -133,12 +145,12 @@ def _system_to_json(sys: SemilatticeSystem, fiber_key: str) -> str:
 
 
 def _system_from_json(text: str, fiber_key: str) -> SemilatticeSystem:
-    data = json.loads(text)
+    data = json_object(text, "semilattice", fiber_key, "homs")
     try:
         meet = validate_table(data["semilattice"]["meet"])
         fibers = tuple(validate_table(f) for f in data[fiber_key])
         homs = {(h["from"], h["to"]): tuple(h["map"]) for h in data["homs"]}
-    except TypeError:
+    except (TypeError, KeyError):
         raise ValueError("system is not laid out as documented") from None
     return SemilatticeSystem(meet, fibers, homs)
 
@@ -158,7 +170,7 @@ def weak_brace_to_json(b: WeakBrace) -> str:
 
 
 def weak_brace_from_json(text: str) -> WeakBrace:
-    data = json.loads(text)
+    data = json_object(text, "add", "mul")
     return make_weak_brace(data["add"], data["mul"])
 
 

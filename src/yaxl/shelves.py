@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .fnmap import FnMap, compose, is_permutation, regular_family
+from .fnmap import FnMap, compose, is_permutation, regular_family, zeros_multiplicative
 
 Magma = tuple
 
@@ -92,13 +92,8 @@ def is_quasi_quandle(q: QuasiRack) -> bool:
 
 
 def check_star(q: QuasiRack) -> bool:
-    """L^0_{x |> y} == L^0_x L^0_y for all pairs."""
-    for x in range(q.n):
-        zx = q.L_zero[x]
-        for y in range(q.n):
-            if q.L_zero[q.table[x][y]] != compose(zx, q.L_zero[y]):
-                return False
-    return True
+    """(*): L^0_{x |> y} == L^0_x L^0_y for all pairs."""
+    return zeros_multiplicative(q.table, q.L_zero)
 
 
 def check_starstar(q: QuasiRack) -> bool:

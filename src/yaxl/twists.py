@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fnmap import RegularFamily, commutes, compose, relative_inverse
+from .fnmap import RegularFamily, commutes, compose, relative_inverse, zeros_multiplicative
 from .shelves import Magma, is_hom, is_left_shelf, validate_table
 from .solutions import (
     Solution,
@@ -68,7 +68,7 @@ def l0_com_holds(t: TwistFamily) -> bool:
     """The three (L0-com) compatibility identities:
 
     - phi_a^0 L_b == L_b phi_a^0
-    - phi^0_{phi_a(b)} == phi_a^0 phi_b^0
+    - phi^0_{phi_a(b)} == phi_a^0 phi_b^0, the identity of (A)
     - phi^0_{phi_a^0(b)}( L_{phi_a^0(b)}(a) ) == L_b(a)
     """
     n = t.n
@@ -78,12 +78,10 @@ def l0_com_holds(t: TwistFamily) -> bool:
         for b in range(n):
             if not commutes(za, L[b]):
                 return False
-            if zero[t.phi[a][b]] != compose(za, zero[b]):
-                return False
             zab = za[b]
             if zero[zab][L[zab][a]] != L[b][a]:
                 return False
-    return True
+    return zeros_multiplicative(t.phi, zero)
 
 
 def twisted_composition_holds(t: TwistFamily) -> bool:

@@ -94,3 +94,40 @@ def naive_canonical_form(t):
 def naive_automorphism_count(t):
     """The number of permutations that fix the table."""
     return sum(naive_relabel(t, p) == t for p in itertools.permutations(range(len(t))))
+
+
+def naive_component_identities(lam, rho):
+    """The braid identity of r(x, y) = (lam[x][y], rho[y][x]) in its three
+    component forms, on all pairs and triples:
+
+    lam_x lam_y = lam_{lam_x(y)} lam_{rho_y(x)},
+    rho_y rho_x = rho_{rho_y(x)} rho_{lam_x(y)},
+    lam_{rho_{lam_y(z)}(x)}(rho_z(y)) = rho_{lam_{rho_y(x)}(z)}(lam_x(y)).
+    """
+    n = len(lam)
+    for x in range(n):
+        for y in range(n):
+            lxy, ryx = lam[x][y], rho[y][x]
+            if comp(lam[x], lam[y]) != comp(lam[lxy], lam[ryx]):
+                return False
+            if comp(rho[y], rho[x]) != comp(rho[ryx], rho[lxy]):
+                return False
+            for z in range(n):
+                if lam[rho[lam[y][z]][x]][rho[z][y]] != rho[lam[ryx][z]][lxy]:
+                    return False
+    return True
+
+
+def naive_quasi_families(n):
+    """Every n-tuple of completely regular maps on n points whose
+    idempotents commute with every member, from the full tuple space."""
+    maps = []
+    for f in itertools.product(range(n), repeat=n):
+        invs = brute_relative_inverses(f)
+        if invs:
+            maps.append((f, comp(f, invs[0])))
+    return [
+        tuple(f for f, _ in family)
+        for family in itertools.product(maps, repeat=n)
+        if all(comp(z, g) == comp(g, z) for _, z in family for g, _ in family)
+    ]

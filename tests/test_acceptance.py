@@ -19,7 +19,12 @@ from fixtures import (
     all_rack_systems,
     deformed_fixture,
 )
-from oracles import brute_relative_inverses, naive_canonical_form, naive_class_tables
+from oracles import (
+    brute_relative_inverses,
+    naive_canonical_form,
+    naive_class_tables,
+    naive_component_identities,
+)
 from yaxl.constructions import dual_weak_brace_fixtures
 from yaxl.constructions import (
     brace_solution,
@@ -30,6 +35,8 @@ from yaxl.constructions import (
 from yaxl.enumeration import (
     CLASSES,
     TABLE1_EXPECTED,
+    _quasi_families,
+    _regular_candidates,
     enumerate_canonical,
     search_question1,
     search_question2,
@@ -54,6 +61,7 @@ from yaxl.shelves import (
     verify_translation_lemma,
 )
 from yaxl.solutions import (
+    Solution,
     check_A,
     check_B,
     check_C,
@@ -126,6 +134,24 @@ def test_derived_solution_theorems():
             assert compose(compose(r, ri), r) == r
             assert compose(compose(ri, r), ri) == ri
             assert compose(r, ri) == compose(ri, r)
+
+
+def test_braid_check_matches_component_oracle():
+    # derived maps of every quasi rack with n <= 4, every dual weak brace
+    # solution and its opposite, and every Q1 lambda x rho pair at n = 2
+    fixtures = [derived_map(q) for q in all_quasi_racks(4)]
+    for b in dual_weak_brace_fixtures(max_size=5, max_skew_order=4):
+        fixtures += [brace_solution(b), brace_solution(opposite_brace(b))]
+    families = list(_quasi_families(2, _regular_candidates(2)))
+    pairs = [Solution(lam=lam, rho=rho) for lam in families for rho in families]
+    assert len(pairs) == 100
+    fixtures += pairs
+    verdicts = set()
+    for s in fixtures:
+        verdict = is_solution(s)
+        assert verdict == naive_component_identities(s.lam, s.rho), s
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_plonka_suite():

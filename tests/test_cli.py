@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import dihedral_quandle, trivial_quandle, two_chain_clifford
 from yaxl.cli import main
@@ -166,20 +167,26 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
 
 
 @pytest.mark.parametrize(
-    "kind, content",
+    "command, content",
     [
-        ("shelf", '{"n": 2, "table": [[0, "a"], [0, 1]]}'),
-        ("shelf", '{"n": 2, "table": [[0, true], [0, 1]]}'),
-        ("solution", "2\n0 1\n0 1\n"),  # cut off after the lambda block
-        ("shelf", "-1\n"),
-        ("shelf", '{"n": 1, "table": [5]}'),
-        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 5], [0, 1]]}'),
-        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, -1], [0, 1]]}'),
-        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, true], [0, 1]]}'),
-        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 1], [0]]}'),
-        ("twist", '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 1]]}'),
-        ("plonka", '{"semilattice": {"m": 1, "meet": [[0]]}, "fibers": [[[0]]], '
-                   '"homs": [{"from": 0, "to": 0, "map": 5}]}'),
+        (["check", "shelf"], '{"n": 2, "table": [[0, "a"], [0, 1]]}'),
+        (["check", "shelf"], '{"n": 2, "table": [[0, true], [0, 1]]}'),
+        (["check", "solution"], "2\n0 1\n0 1\n"),  # cut off after the lambda block
+        (["check", "shelf"], "-1\n"),
+        (["check", "shelf"], '{"n": 1, "table": [5]}'),
+        (["check", "twist"], '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 5], [0, 1]]}'),
+        (["check", "twist"], '{"shelf": [[0, 1], [0, 1]], "phi": [[0, -1], [0, 1]]}'),
+        (["check", "twist"], '{"shelf": [[0, 1], [0, 1]], "phi": [[0, true], [0, 1]]}'),
+        (["check", "twist"], '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 1], [0]]}'),
+        (["check", "twist"], '{"shelf": [[0, 1], [0, 1]], "phi": [[0, 1]]}'),
+        (["check", "plonka"], '{"semilattice": {"m": 1, "meet": [[0]]}, "fibers": [[[0]]], '
+                              '"homs": [{"from": 0, "to": 0, "map": 5}]}'),
+        (["check", "twist"], "[1]"),
+        (["check", "weak-brace"], "[1]"),
+        (["twist"], "[1]"),
+        (["construct", "brace-solution"], "[1]"),
+        (["check", "weak-brace"], '{"add": [[0, 1], [1, 0]], "mul": [[0]]}'),
+        (["check", "solution"], '{"n": 2, "lambda": [[0, 1], [0, 1]], "rho": [[0]]}'),
     ],
     ids=[
         "string-entry",
@@ -193,12 +200,80 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
         "phi-short-map",
         "phi-too-few-maps",
         "hom-map-not-a-list",
+        "twist-not-an-object",
+        "weak-brace-not-an-object",
+        "twist-command-not-an-object",
+        "brace-solution-not-an-object",
+        "brace-tables-differ-in-size",
+        "rho-differs-in-size",
     ],
 )
-def test_malformed_input_exits_2(tmp_path, capsys, kind, content):
+def test_malformed_input_exits_2(tmp_path, capsys, command, content):
     path = write(tmp_path, "in.txt", content)
-    assert main(["check", kind, path]) == 2
+    assert main(command + [path]) == 2
     _assert_one_line_error(capsys)
+
+
+def test_missing_gluing_map_is_named(tmp_path, capsys):
+    content = '{"semilattice": {"m": 1, "meet": [[0]]}, "fibers": [[[0]]], "homs": []}'
+    assert main(["check", "plonka", write(tmp_path, "p.json", content)]) == 2
+    assert capsys.readouterr().err == "error: phi[(0, 0)] is missing\n"
+
+
+# Every command that reads a JSON file, as the argument list before the path.
+JSON_COMMANDS = [
+    ["check", "shelf"],
+    ["check", "solution"],
+    ["check", "clifford"],
+    ["check", "weak-brace"],
+    ["check", "twist"],
+    ["check", "plonka"],
+    ["derive"],
+    ["construct", "plonka-sum"],
+    ["construct", "clifford"],
+    ["construct", "conjugation"],
+    ["construct", "core"],
+    ["construct", "deformed", "--idempotent", "0"],
+    ["construct", "brace-solution"],
+    ["decompose"],
+    ["twist"],
+    ["twist", "--extract"],
+]
+
+# The top-level keys of each JSON format, and every key documented at any depth.
+_FORMATS = (
+    ("n", "table"),
+    ("n", "lambda", "rho"),
+    ("shelf", "phi"),
+    ("semilattice", "groups", "homs"),
+    ("semilattice", "fibers", "homs"),
+    ("add", "mul"),
+)
+_KEYS = sorted({k for keys in _FORMATS for k in keys} | {"m", "meet", "from", "to", "map"})
+
+# well-formed tables, so that inputs get past the shape checks into the
+# structure checks
+_tables = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+_json_values = st.recursive(
+    st.integers(-1, 4) | st.booleans() | st.text(max_size=2) | _tables,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=24,
+)
+_documents = _json_values | st.sampled_from(_FORMATS).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _tables | _json_values for k in keys})
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(JSON_COMMANDS), value=_documents)
+def test_json_commands_never_crash(tmp_path_factory, command, value):
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(value))
+    assert main(command + [str(path)]) in (0, 1, 2)
 
 
 def test_construct_deformed_needs_idempotent(tmp_path):

@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from oracles import naive_automorphism_count
+from oracles import naive_automorphism_count, naive_quasi_families
 from yaxl import enumeration
 from yaxl.enumeration import (
     CLASSES,
@@ -14,6 +14,8 @@ from yaxl.enumeration import (
     search_question2,
     table1_row,
     TABLE1_EXPECTED,
+    _quasi_families,
+    _regular_candidates,
     _search_labeled,
 )
 from yaxl.shelves import canonical_form, is_quandle, is_rack, quasi_rack_structure
@@ -125,6 +127,14 @@ def test_search_question2_small():
     assert "open question" in report["status"]
     with pytest.raises(ValueError):
         search_question2(4)
+
+
+def test_quasi_families_match_naive_filter():
+    # same families in the same order: the search digests depend on it
+    for n, count in ((1, 1), (2, 10), (3, 627)):
+        families = list(_quasi_families(n, _regular_candidates(n)))
+        assert len(families) == count
+        assert families == naive_quasi_families(n)
 
 
 # Labeled tables yielded by the backtracker, pinned before the search was
