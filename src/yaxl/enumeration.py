@@ -18,7 +18,10 @@ candidates that this check, or the class axioms, would reject:
   self-distributivity forces L_k = L_x L_y L_x^-1, and only that
   candidate is tried.
 
-Isomorphism rejection keeps only tables equal to their canonical form.
+Isomorphism rejection keeps a labeled table only if no relabeling is
+lexicographically smaller (``shelves.is_canonical``, which stops at the
+first smaller relabeling it meets), so each class is represented by its
+canonical form.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from dataclasses import dataclass, field
 
 from .fnmap import commutes, is_completely_regular, is_permutation, relative_inverse
 from .shelves import (
-    canonical_form,
     check_star,
     check_starstar,
     check_starstarstar,
     derived_map,
+    is_canonical,
     is_rack,
     quasi_rack_structure,
 )
@@ -207,11 +210,7 @@ def _passes_filters(table, filters) -> bool:
 
 def _worker(args):
     n, klass, chunk = args
-    return [
-        t
-        for t in _search_labeled(n, klass, first_rows=chunk)
-        if t == canonical_form(t)
-    ]
+    return [t for t in _search_labeled(n, klass, first_rows=chunk) if is_canonical(t)]
 
 
 def enumerate_canonical(
@@ -224,11 +223,7 @@ def enumerate_canonical(
     if filters and klass not in _QUASI:
         raise ValueError("filters only apply to quasi classes")
     if workers <= 1:
-        survivors = [
-            t
-            for t in _search_labeled(n, klass)
-            if t == canonical_form(t)
-        ]
+        survivors = [t for t in _search_labeled(n, klass) if is_canonical(t)]
     else:
         total = len(_row_candidates(n, klass)[1][0])
         chunks = [list(range(i, total, workers)) for i in range(workers)]

@@ -64,6 +64,13 @@ def json_object(text: str, *keys: str) -> dict:
     return data
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON number documented as an integer: reject floats and bools."""
+    if type(value) is not int:
+        raise ValueError(f"{what} is not an integer")
+    return value
+
+
 def magma_to_text(table: Magma) -> str:
     n = len(table)
     return "\n".join([str(n)] + [" ".join(map(str, row)) for row in table]) + "\n"
@@ -81,7 +88,7 @@ def magma_to_json(table: Magma) -> str:
 def magma_from_json(text: str) -> Magma:
     data = json_object(text, "n", "table")
     table = validate_table(data["table"])
-    if len(table) != data["n"]:
+    if len(table) != _json_int(data["n"], "size 'n'"):
         raise ValueError("declared size does not match the table")
     return table
 
@@ -115,7 +122,7 @@ def solution_from_json(text: str) -> Solution:
     data = json_object(text, "n", "lambda", "rho")
     lam = validate_table(data["lambda"])
     rho = validate_table(data["rho"])
-    if not len(lam) == len(rho) == data["n"]:
+    if not len(lam) == len(rho) == _json_int(data["n"], "size 'n'"):
         raise ValueError("declared size does not match the tables")
     return Solution(lam=lam, rho=rho)
 
@@ -149,7 +156,10 @@ def _system_from_json(text: str, fiber_key: str) -> SemilatticeSystem:
     try:
         meet = validate_table(data["semilattice"]["meet"])
         fibers = tuple(validate_table(f) for f in data[fiber_key])
-        homs = {(h["from"], h["to"]): tuple(h["map"]) for h in data["homs"]}
+        homs = {}
+        for h in data["homs"]:
+            a, b = _json_int(h["from"], "hom key 'from'"), _json_int(h["to"], "hom key 'to'")
+            homs[a, b] = tuple(h["map"])
     except (TypeError, KeyError):
         raise ValueError("system is not laid out as documented") from None
     return SemilatticeSystem(meet, fibers, homs)

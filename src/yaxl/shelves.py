@@ -186,21 +186,23 @@ def relabel(table: Magma, perm: FnMap) -> Magma:
     return tuple(tuple(row) for row in out)
 
 
-def canonical_form(table: Magma) -> Magma:
-    """Lexicographically least relabeling over all carrier permutations.
+def _smaller_relabelings(table: Magma):
+    """Yield each relabeling that is smaller than the best so far, which
+    starts as the table itself; the last one yielded is the least.
 
-    Starts from the table itself.  For each permutation the relabeled
-    table is built one row at a time and compared with the best so far:
-    the permutation is dropped at the first greater row, and a table is
-    materialised only when a row is smaller.  Every one of the n!
-    permutations is still visited, so carriers are limited to size 8.
+    For each carrier permutation the relabeled table is built one row at
+    a time and compared with the best: the permutation is dropped at the
+    first greater row, and a table is materialised only when a row is
+    smaller.  Walking to the end visits all n! permutations, so carriers
+    are limited to size 8.
     """
     n = len(table)
     if n > 8:
-        raise ValueError("canonical_form is limited to carriers of size <= 8")
+        raise ValueError("canonical forms are limited to carriers of size <= 8")
     best = tuple(tuple(row) for row in table)
     p = [0] * n
-    for q in itertools.permutations(range(n)):
+    # the identity comes first and gives the table itself, so skip it
+    for q in itertools.islice(itertools.permutations(range(n)), 1, None):
         # q[i] is the old name of the new label i; p inverts it
         for i, v in enumerate(q):
             p[v] = i
@@ -211,8 +213,32 @@ def canonical_form(table: Magma) -> Magma:
                 if new < old:
                     rest = (tuple(p[table[u][v]] for v in q) for u in q[i + 1:])
                     best = best[:i] + (new,) + tuple(rest)
+                    yield best
                 break
+
+
+def canonical_form(table: Magma) -> Magma:
+    """Lexicographically least relabeling over all carrier permutations.
+
+    Visits all n! relabelings, so carriers are limited to size 8.  To
+    ask only whether a table is its own canonical form, ``is_canonical``
+    is faster.
+    """
+    best = tuple(tuple(row) for row in table)
+    for best in _smaller_relabelings(table):
+        pass
     return best
+
+
+def is_canonical(table: Magma) -> bool:
+    """True iff the table, as a tuple of rows, equals its canonical form.
+
+    Walks the relabelings of ``canonical_form`` in the same order, each
+    compared with the table itself, and returns False at the first
+    smaller one; only a canonical table costs all n! permutations.
+    Carriers are limited to size 8.
+    """
+    return next(_smaller_relabelings(table), None) is None
 
 
 def are_isomorphic(a: Magma, b: Magma) -> bool:

@@ -99,6 +99,15 @@ def test_enumerate_stream(capsys):
     assert "# count: 1" in out
 
 
+def test_enumerate_stream_workers_agree(capsys):
+    command = ["enumerate", "--n", "4", "--class", "quasi_rack", "--stream"]
+    assert main(command + ["--workers", "1"]) == 0
+    single = capsys.readouterr().out
+    assert main(command + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == single
+    assert single.endswith("# count: 325\n")
+
+
 def test_enumerate_guard(capsys):
     assert main(["enumerate", "--n", "8", "--class", "rack"]) == 2
 
@@ -146,6 +155,13 @@ def _assert_one_line_error(capsys):
 
 _Z2 = cyclic_group(2)
 _CHAIN = ((0, 0), (0, 1))
+# a two-point chain of one-point fibers (under the key given first) whose
+# gluing map 1 -> 0 has the "from" and "to" values given next
+_TWO_CHAIN_HOMS = (
+    '{"semilattice": {"m": 2, "meet": [[0, 0], [0, 1]]}, "%s": [[[0]], [[0]]], '
+    '"homs": [{"from": 0, "to": 0, "map": [0]}, {"from": 1, "to": 1, "map": [0]}, '
+    '{"from": %s, "to": %s, "map": [0]}]}'
+)
 
 
 @pytest.mark.parametrize(
@@ -187,6 +203,12 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
         (["construct", "brace-solution"], "[1]"),
         (["check", "weak-brace"], '{"add": [[0, 1], [1, 0]], "mul": [[0]]}'),
         (["check", "solution"], '{"n": 2, "lambda": [[0, 1], [0, 1]], "rho": [[0]]}'),
+        (["check", "shelf"], '{"n": true, "table": [[0]]}'),
+        (["check", "shelf"], '{"n": 1.0, "table": [[0]]}'),
+        (["check", "solution"], '{"n": true, "lambda": [[0]], "rho": [[0]]}'),
+        (["check", "plonka"], _TWO_CHAIN_HOMS % ("fibers", "true", "false")),
+        (["check", "plonka"], _TWO_CHAIN_HOMS % ("fibers", "1", "0.0")),
+        (["construct", "clifford"], _TWO_CHAIN_HOMS % ("groups", "true", "false")),
     ],
     ids=[
         "string-entry",
@@ -206,6 +228,12 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
         "brace-solution-not-an-object",
         "brace-tables-differ-in-size",
         "rho-differs-in-size",
+        "size-bool",
+        "size-float",
+        "solution-size-bool",
+        "hom-keys-bool",
+        "hom-key-float",
+        "clifford-hom-keys-bool",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, content):
@@ -271,6 +299,75 @@ _documents = _json_values | st.sampled_from(_FORMATS).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(JSON_COMMANDS), value=_documents)
 def test_json_commands_never_crash(tmp_path_factory, command, value):
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(value))
+    assert main(command + [str(path)]) in (0, 1, 2)
+
+
+# Well-shaped inputs, built per format with the size taken from the
+# tables, so that most of them get past the shape checks into the
+# structure checks.
+def _square(n):
+    return st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+def _sized(build):
+    return st.integers(1, 3).flatmap(build)
+
+
+# Z1, Z2, the trivial quandle and the swap rack on two points
+_FIBERS = ([[0]], [[0, 1], [1, 0]], [[0, 1], [0, 1]], [[1, 0], [1, 0]])
+
+
+@st.composite
+def _system(draw, fiber_key):
+    meet = draw(st.sampled_from([[[0]], [[0, 0], [0, 1]], [[0, 1], [1, 1]]]))
+    m = len(meet)
+    fibers = [draw(st.sampled_from(_FIBERS) | st.integers(1, 2).flatmap(_square))
+              for _ in range(m)]
+    homs = []
+    for a in range(m):
+        for b in range(m):
+            if meet[a][b] != b:
+                continue  # a is not above b
+            src, dst = len(fibers[a]), len(fibers[b])
+            f = (list(range(src)) if a == b else
+                 draw(st.lists(st.integers(0, dst - 1), min_size=src, max_size=src)))
+            homs.append({"from": a, "to": b, "map": f})
+    return {"semilattice": {"m": m, "meet": meet}, fiber_key: fibers, "homs": homs}
+
+
+_MAGMA_COMMANDS = [
+    ["check", "shelf"],
+    ["check", "clifford"],
+    ["derive"],
+    ["construct", "conjugation"],
+    ["construct", "core"],
+    ["construct", "deformed", "--idempotent", "0"],
+    ["decompose"],
+]
+# each JSON-reading command with inputs in the format it reads
+_WELL_SHAPED = [
+    (_MAGMA_COMMANDS, _sized(lambda n: st.fixed_dictionaries(
+        {"n": st.just(n), "table": _square(n)}))),
+    ([["check", "solution"], ["twist", "--extract"]], _sized(lambda n: st.fixed_dictionaries(
+        {"n": st.just(n), "lambda": _square(n), "rho": _square(n)}))),
+    ([["check", "twist"], ["twist"]], _sized(lambda n: st.fixed_dictionaries(
+        {"shelf": _square(n), "phi": _square(n)}))),
+    ([["check", "weak-brace"], ["construct", "brace-solution"]], _sized(
+        lambda n: st.fixed_dictionaries({"add": _square(n), "mul": _square(n)}))),
+    ([["construct", "clifford"]], _system("groups")),
+    ([["check", "plonka"], ["construct", "plonka-sum"]], _system("fibers")),
+]
+_well_shaped = st.sampled_from(_WELL_SHAPED).flatmap(
+    lambda case: st.tuples(st.sampled_from(case[0]), case[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_well_shaped)
+def test_well_shaped_json_never_crashes(tmp_path_factory, case):
+    command, value = case
     path = tmp_path_factory.mktemp("fuzz") / "in.json"
     path.write_text(json.dumps(value))
     assert main(command + [str(path)]) in (0, 1, 2)

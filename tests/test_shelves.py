@@ -15,6 +15,7 @@ from yaxl.shelves import (
     derived_map,
     derived_relative_inverse,
     endomorphisms,
+    is_canonical,
     is_left_shelf,
     is_quandle,
     is_quasi_quandle,
@@ -113,6 +114,30 @@ def test_canonical_form_matches_naive_on_random_tables(rows):
     assert canonical_form(rows) == naive_canonical_form(table)
 
 
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_is_canonical_matches_naive_on_random_tables(rows):
+    table = tuple(tuple(r) for r in rows)
+    least = naive_canonical_form(table)
+    assert is_canonical(table) == (table == least)
+    assert is_canonical(rows) == (table == least)
+    assert is_canonical(least)
+
+
+@pytest.mark.parametrize("n, klass, labeled, classes", [
+    (4, "quasi_rack", 5878, 325),
+    (5, "rack", 1708, 74),
+])
+def test_is_canonical_matches_canonical_form_on_labeled_tables(n, klass, labeled, classes):
+    from yaxl.enumeration import _search_labeled
+
+    verdicts = [(is_canonical(t), t == canonical_form(t)) for t in _search_labeled(n, klass)]
+    assert len(verdicts) == labeled
+    assert all(a == b for a, b in verdicts)
+    assert sum(a for a, _ in verdicts) == classes
+
+
 def test_canonical_form_matches_naive_on_labeled_quasi_racks():
     from yaxl.enumeration import _search_labeled
 
@@ -125,6 +150,8 @@ def test_canonical_guard():
     big = trivial_quandle(9)
     with pytest.raises(ValueError):
         canonical_form(big)
+    with pytest.raises(ValueError):
+        is_canonical(big)
 
 
 def test_not_isomorphic():
