@@ -136,10 +136,10 @@ def cmd_check(args) -> int:
         }
         ok = report["clifford"]
     elif args.kind == "weak-brace":
-        data = serialization.json_object(text, "add", "mul")
-        report = constructions.weak_brace_validate(data["add"], data["mul"])
+        add, mul = serialization.weak_brace_tables(text)
+        report = constructions.weak_brace_validate(add, mul)
         if report["valid"]:
-            report["dual"] = constructions.is_clifford(data["mul"])
+            report["dual"] = constructions.is_clifford(mul)
         ok = report["valid"]
     elif args.kind == "twist":
         t = serialization.twist_from_json(text)

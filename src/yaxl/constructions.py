@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .fnmap import FnMap, commutes, compose, is_completely_regular, relative_inverse
+from .fnmap import FnMap, compose, idempotents_central, is_completely_regular, relative_inverse
 from .shelves import (
     Magma,
     QuasiRack,
@@ -537,8 +537,7 @@ def lambda_rho_clifford_check(b: WeakBrace) -> bool:
             return False
         if not all(is_completely_regular(f) for f in family):
             return False
-        idems = [f for f in family if compose(f, f) == f]
-        if not all(commutes(e, f) for e in idems for f in family):
+        if not idempotents_central([f for f in family if compose(f, f) == f], family):
             return False
     return True
 

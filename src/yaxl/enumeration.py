@@ -343,29 +343,82 @@ def _quasi_families(n: int, cands):
     yield from rec(0, (1 << len(cands)) - 1)
 
 
+def _cell_values(f, x: int, y: int) -> list:
+    """The values c with f_x f_y = f_{f_x(y)} f_c, in increasing order.
+
+    For f = lambda these are the values of rho_y(x) that the first
+    component of the braid identity, lambda_x lambda_y =
+    lambda_{lambda_x(y)} lambda_{rho_y(x)}, allows; for f = rho, at the
+    cell (z, y), the values of lambda_y(z) that the third, rho_z rho_y =
+    rho_{rho_z(y)} rho_{lambda_y(z)}, allows.  Either way the partner
+    family's entry g[y][x] must be one of them.
+    """
+    fx = f[x]
+    lhs = tuple(fx[v] for v in f[y])
+    ft = f[fx[y]]
+    return [c for c, fc in enumerate(f) if tuple(ft[v] for v in fc) == lhs]
+
+
+def _partner_masks(families) -> list:
+    """Bit j of entry i is set iff family j, as the partner of family i,
+    has every entry g[y][x] among ``_cell_values(f_i, x, y)``.
+
+    The families are indexed once as bitmasks keyed by (y, x, value).
+    """
+    index: dict = {}
+    for j, g in enumerate(families):
+        for y, gy in enumerate(g):
+            for x, v in enumerate(gy):
+                index[y, x, v] = index.get((y, x, v), 0) | 1 << j
+    masks = []
+    for f in families:
+        mask = (1 << len(families)) - 1
+        for x, y in itertools.product(range(len(f)), repeat=2):
+            # one value per cell, so the masks of distinct values are disjoint
+            mask &= sum(index.get((y, x, c), 0) for c in _cell_values(f, x, y))
+        masks.append(mask)
+    return masks
+
+
 def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     """Hunt for a quasi non-degenerate solution that is not quasi bijective.
 
-    Exhaustive for n <= 3 over all pairs of lambda and rho families whose
-    members are completely regular with each idempotent commuting with
-    every member of its own family.  Seeded random sampling at n >= 4
-    draws each member independently and keeps a pair only when every
-    idempotent commutes with every member of the lambda and rho families
-    together, a stricter hypothesis: at n = 2 it holds for 46 of the 100
-    exhaustive pairs, at n = 3 for 68,349 of 393,129.  The report never
-    asserts an answer: an empty candidate list means only that no
-    counterexample was found among the structures checked.
+    Hypotheses encoded: lambda and rho are each a family of completely
+    regular maps whose idempotents commute with every member of their
+    own family (quasi left and quasi right non-degenerate), and r
+    satisfies the braid identity; a candidate is such an r whose pair
+    map has no relative inverse.
+
+    Exhaustive for n <= 3 over every pair of such families.  The braid
+    identity's first component restricts each rho cell rho_y(x) given
+    lambda, its third restricts each lambda cell lambda_y(z) given rho
+    (``_cell_values``); only pairs that pass both restrictions go on to
+    the full braid check, which still decides, and ``pairs_checked``
+    counts every pair of the family product.  Seeded random sampling at
+    n >= 4 draws each member independently and keeps a pair only when
+    every idempotent commutes with every member of the lambda and rho
+    families together, a stricter hypothesis: at n = 2 it holds for 46
+    of the 100 exhaustive pairs, at n = 3 for 68,349 of 393,129.  The
+    report never asserts an answer: an empty candidate list means only
+    that no counterexample was found among the structures checked.
     """
     cands = _regular_candidates(n)
     candidates = []
     checked = 0
     if n <= 3:
         exhaustive = True
-        lam_families = list(_quasi_families(n, cands))
-        for lam in lam_families:
-            for rho in lam_families:
-                checked += 1
-                s = Solution(lam=lam, rho=rho)
+        families = list(_quasi_families(n, cands))
+        checked = len(families) ** 2
+        partners = _partner_masks(families)
+        for i, lam in enumerate(families):
+            todo = partners[i]  # the other pairs fail a braid component
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                j = low.bit_length() - 1
+                if not partners[j] >> i & 1:
+                    continue
+                s = Solution(lam=lam, rho=families[j])
                 if not is_solution(s):
                     continue
                 # quasi non-degenerate by construction of the families
@@ -406,11 +459,23 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     """Hunt for a quasi bijective, quasi left non-degenerate solution with
     (A), (B), (C) whose structure magma is not a quasi rack.
 
-    Exhaustive for n <= 3 (lambda families pruned to the quasi ones, rho
-    tables unrestricted); seeded sampling at n = 4.
+    Hypotheses encoded: r satisfies the braid identity; lambda is a
+    family of completely regular maps whose idempotents commute with
+    every member (quasi left non-degenerate); (A), (B) and (C) hold; and
+    the pair map of r has a relative inverse (quasi bijective).  rho is
+    any family of maps.  ``solutions_meeting_hypotheses`` counts such r,
+    and a candidate is one whose structure magma is not a quasi rack.
+
+    Exhaustive for n <= 3 over every such lambda family and every rho
+    table that the braid identity's first component allows: given
+    lambda, each cell rho_y(x) ranges over ``_cell_values(lambda, x, y)``
+    and the tables are taken in the lexicographic order of all tables; a
+    lambda family with an empty cell is skipped whole.  The full braid
+    check still decides every table.  Seeded sampling at n >= 4 draws
+    each lambda_x among the completely regular maps and each rho_y among
+    all maps.  The report never asserts an answer.
     """
     cr = _regular_candidates(n)
-    all_maps = list(itertools.product(range(n), repeat=n))
     candidates = []
     checked = 0
 
@@ -431,14 +496,19 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
 
     if n <= 3:
         exhaustive = True
+        span = range(n)
         for lam in _quasi_families(n, cr):
-            for rho in itertools.product(all_maps, repeat=n):
-                consider(Solution(lam=lam, rho=tuple(rho)))
+            # rows of the allowed cells; one empty cell leaves no rho at all
+            rows = [list(itertools.product(*(_cell_values(lam, x, y) for x in span)))
+                    for y in span]
+            for rho in itertools.product(*rows):
+                consider(Solution(lam=lam, rho=rho))
     else:
         exhaustive = False
         if seed is None:
             raise ValueError("sampling requires an explicit seed")
         rng = random.Random(seed)
+        all_maps = list(itertools.product(range(n), repeat=n))
         for _ in range(samples):
             lam = tuple(f for f, _ in (rng.choice(cr) for _ in range(n)))
             rho = tuple(rng.choice(all_maps) for _ in range(n))

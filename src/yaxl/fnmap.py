@@ -137,11 +137,15 @@ def regular_family(family) -> Optional[RegularFamily]:
             return None
         triples.append(t)
     zeros = tuple(t.zero for t in triples)
-    for z in zeros:
-        for f in family:
-            if not commutes(z, f):
-                return None
+    if not idempotents_central(zeros, family):
+        return None
     return RegularFamily(tuple(t.inv for t in triples), zeros)
+
+
+def idempotents_central(idempotents, family) -> bool:
+    """Every given idempotent commutes with every member of the family;
+    each distinct idempotent is tested once."""
+    return all(commutes(z, f) for z in set(idempotents) for f in family)
 
 
 def zeros_multiplicative(family, zero) -> bool:

@@ -15,6 +15,8 @@ layout:
   weak brace {"n": ..., "add": [[...]], "mul": [[...]]}
   plonka     like system, with "fibers" of rack tables in place of "groups"
 
+The weak brace "n" and the semilattice "m" may be left out; when given
+they must be integers equal to the size of their tables.
 Parsers raise ValueError with a line reference on malformed text.
 """
 
@@ -71,6 +73,12 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _check_declared_size(data: dict, key: str, size: int) -> None:
+    """A size key, when present, must be the integer ``size``."""
+    if key in data and _json_int(data[key], f"size {key!r}") != size:
+        raise ValueError(f"declared size {key!r} does not match the tables")
+
+
 def magma_to_text(table: Magma) -> str:
     n = len(table)
     return "\n".join([str(n)] + [" ".join(map(str, row)) for row in table]) + "\n"
@@ -88,8 +96,7 @@ def magma_to_json(table: Magma) -> str:
 def magma_from_json(text: str) -> Magma:
     data = json_object(text, "n", "table")
     table = validate_table(data["table"])
-    if len(table) != _json_int(data["n"], "size 'n'"):
-        raise ValueError("declared size does not match the table")
+    _check_declared_size(data, "n", len(table))
     return table
 
 
@@ -155,6 +162,7 @@ def _system_from_json(text: str, fiber_key: str) -> SemilatticeSystem:
     data = json_object(text, "semilattice", fiber_key, "homs")
     try:
         meet = validate_table(data["semilattice"]["meet"])
+        _check_declared_size(data["semilattice"], "m", len(meet))
         fibers = tuple(validate_table(f) for f in data[fiber_key])
         homs = {}
         for h in data["homs"]:
@@ -179,9 +187,16 @@ def weak_brace_to_json(b: WeakBrace) -> str:
     )
 
 
-def weak_brace_from_json(text: str) -> WeakBrace:
+def weak_brace_tables(text: str) -> tuple:
+    """The add and mul tables of a weak brace JSON text, shape-checked."""
     data = json_object(text, "add", "mul")
-    return make_weak_brace(data["add"], data["mul"])
+    add, mul = validate_table(data["add"]), validate_table(data["mul"])
+    _check_declared_size(data, "n", len(add))
+    return add, mul
+
+
+def weak_brace_from_json(text: str) -> WeakBrace:
+    return make_weak_brace(*weak_brace_tables(text))
 
 
 def plonka_to_json(p: SemilatticeSystem) -> str:

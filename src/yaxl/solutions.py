@@ -23,6 +23,7 @@ from .fnmap import (
     RegularFamily,
     commutes,
     compose,
+    idempotents_central,
     is_permutation,
     regular_family,
     relative_inverse,
@@ -81,21 +82,23 @@ def from_pair_map(r: FnMap, n: int) -> Solution:
 
 
 def _braid_holds(s: Solution) -> bool:
-    n = s.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                # r x id, then id x r, then r x id
-                a, b, c = x, y, z
-                a, b = s.apply(a, b)
-                b, c = s.apply(b, c)
-                a, b = s.apply(a, b)
-                lhs = (a, b, c)
-                a, b, c = x, y, z
-                b, c = s.apply(b, c)
-                a, b = s.apply(a, b)
-                b, c = s.apply(b, c)
-                if lhs != (a, b, c):
+    # With r(a, b) = (lam[a][b], rho[b][a]), the left side sends (x, y, z)
+    # through (a, b, z), (a, b1, rho_z(b)) to (lam_a(b1), rho_b1(a), rho_z(b));
+    # the right side through (x, u, v), (lam_x(u), w, v) to
+    # (lam_x(u), lam_w(v), rho_v(w)).
+    lam, rho = s.lam, s.rho
+    span = range(len(lam))
+    for x in span:
+        lx = lam[x]
+        for y in span:
+            a, b = lx[y], rho[y][x]
+            la, lb, ly = lam[a], lam[b], lam[y]
+            for z in span:
+                rz = rho[z]
+                b1 = lb[z]
+                u, v = ly[z], rz[y]
+                w = rho[u][x]
+                if la[b1] != lx[u] or rho[b1][a] != lam[w][v] or rz[b] != rho[v][w]:
                     return False
     return True
 
@@ -176,7 +179,7 @@ def check_B(s: Solution, d: RegularFamily) -> bool:
 
 def check_C(s: Solution, d: RegularFamily) -> bool:
     """lambda^0_x rho_y == rho_y lambda^0_x for all pairs."""
-    return all(commutes(zx, ry) for zx in d.zero for ry in s.rho)
+    return idempotents_central(d.zero, s.rho)
 
 
 def structure_magma(s: Solution, d: RegularFamily) -> Magma:

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fnmap import RegularFamily, commutes, compose, relative_inverse, zeros_multiplicative
+from .fnmap import (
+    RegularFamily,
+    compose,
+    idempotents_central,
+    relative_inverse,
+    zeros_multiplicative,
+)
 from .shelves import Magma, is_hom, is_left_shelf, validate_table
 from .solutions import (
     Solution,
@@ -73,11 +79,11 @@ def l0_com_holds(t: TwistFamily) -> bool:
     """
     n = t.n
     L, zero = t.table, t.phi_zero
+    if not idempotents_central(zero, L):
+        return False
     for a in range(n):
         za = zero[a]
         for b in range(n):
-            if not commutes(za, L[b]):
-                return False
             zab = za[b]
             if zero[zab][L[zab][a]] != L[b][a]:
                 return False
@@ -106,7 +112,7 @@ def phi_idempotents_central(t: TwistFamily) -> bool:
     the right-trivial shelf x |> y = y with phi_a constant at a is a
     g-twist whose r_phi(a, b) = (a, a) is not quasi left non-degenerate.
     """
-    return all(commutes(z, f) for z in t.phi_zero for f in t.phi)
+    return idempotents_central(t.phi_zero, t.phi)
 
 
 def is_g_twist(t: TwistFamily) -> bool:

@@ -131,3 +131,61 @@ def naive_quasi_families(n):
         for family in itertools.product(maps, repeat=n)
         if all(comp(z, g) == comp(g, z) for _, z in family for g, _ in family)
     ]
+
+
+def naive_is_completely_regular(f):
+    """f maps its image onto itself bijectively."""
+    im = set(f)
+    return {f[x] for x in im} == im
+
+
+def naive_pair_map(lam, rho):
+    """r(x, y) = (lam[x][y], rho[y][x]) on the pairs, (x, y) -> x * n + y."""
+    n = len(lam)
+    return tuple(lam[x][y] * n + rho[y][x] for x in range(n) for y in range(n))
+
+
+def naive_question1(n):
+    """The evidence of the first open-question search, from every pair of
+    quasi families with no pruning: solutions of the braid identity whose
+    pair map is not completely regular."""
+    families = naive_quasi_families(n)
+    candidates = [
+        (lam, rho)
+        for lam in families
+        for rho in families
+        if naive_component_identities(lam, rho)
+        and not naive_is_completely_regular(naive_pair_map(lam, rho))
+    ]
+    return {"n": n, "exhaustive": True, "pairs_checked": len(families) ** 2,
+            "candidates": candidates}
+
+
+def naive_question2(n):
+    """The evidence of the second open-question search, from every quasi
+    lambda family against every rho table with no pruning: solutions with
+    (A), (B), (C) whose pair map is completely regular, and among them
+    those whose structure magma is not a quasi rack."""
+    maps = list(itertools.product(range(n), repeat=n))
+    checked, candidates = 0, []
+    for lam in naive_quasi_families(n):
+        inv = [brute_relative_inverses(f)[0] for f in lam]
+        zero = [comp(f, g) for f, g in zip(lam, inv)]
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+        for rho in itertools.product(maps, repeat=n):
+            if not (
+                naive_component_identities(lam, rho)
+                and all(zero[lam[x][y]] == comp(zero[x], zero[y]) for x, y in pairs)
+                and all(rho[y][x] == zero[lam[x][y]][rho[zero[x][y]][x]] for x, y in pairs)
+                and all(comp(z, g) == comp(g, z) for z in zero for g in rho)
+                and naive_is_completely_regular(naive_pair_map(lam, rho))
+            ):
+                continue
+            checked += 1
+            magma = tuple(
+                tuple(lam[x][rho[inv[y][x]][y]] for y in range(n)) for x in range(n)
+            )
+            if not naive_is_quasi_rack(magma):
+                candidates.append((lam, rho))
+    return {"n": n, "exhaustive": True, "solutions_meeting_hypotheses": checked,
+            "candidates": candidates}

@@ -6,7 +6,9 @@ enumerations, and the termination of the open-question searches.  All
 checks are zero-tolerance.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -254,6 +256,13 @@ def test_stored_counterexamples():
     assert quasi_bijective(s) is not None
 
 
+# SHA-256 of json.dumps(candidates) at n = 3, recorded from the unpruned searches
+CANDIDATES_SHA256 = {
+    search_question1: "c9c946c62f53d55440fccfb5a0e5bfd9d931d84bbd08c383c918831192084585",
+    search_question2: "22c4f35841ae0806e99e6d449b4421c238557c53b4c2f0d8cbd0bb1bba2aa6ef",
+}
+
+
 def test_question_searches_terminate():
     # exhaustive (checked, candidates) per question and size
     expected = {
@@ -267,6 +276,9 @@ def test_question_searches_terminate():
             assert time.monotonic() - start < 1800
             assert report["exhaustive"]
             assert (report[checked_key], len(report["candidates"])) == counts[n]
+            if n == 3:
+                digest = hashlib.sha256(json.dumps(report["candidates"]).encode()).hexdigest()
+                assert digest == CANDIDATES_SHA256[fn]
             # the open status is preserved verbatim; no answer is asserted
             assert "open question" in report["status"]
             assert "asserts no answer" in report["status"]

@@ -209,6 +209,13 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
         (["check", "plonka"], _TWO_CHAIN_HOMS % ("fibers", "true", "false")),
         (["check", "plonka"], _TWO_CHAIN_HOMS % ("fibers", "1", "0.0")),
         (["construct", "clifford"], _TWO_CHAIN_HOMS % ("groups", "true", "false")),
+        (["check", "weak-brace"], '{"n": 5, "add": [[0]], "mul": [[0]]}'),
+        (["check", "weak-brace"], '{"n": true, "add": [[0]], "mul": [[0]]}'),
+        (["construct", "brace-solution"], '{"n": 1.0, "add": [[0]], "mul": [[0]]}'),
+        (["check", "plonka"], '{"semilattice": {"m": 7, "meet": [[0]]}, "fibers": [[[0]]], '
+                              '"homs": [{"from": 0, "to": 0, "map": [0]}]}'),
+        (["construct", "clifford"], '{"semilattice": {"m": true, "meet": [[0]]}, '
+                                    '"groups": [[[0]]], "homs": [{"from": 0, "to": 0, "map": [0]}]}'),
     ],
     ids=[
         "string-entry",
@@ -234,6 +241,11 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
         "hom-keys-bool",
         "hom-key-float",
         "clifford-hom-keys-bool",
+        "brace-size-mismatch",
+        "brace-size-bool",
+        "brace-solution-size-float",
+        "semilattice-size-mismatch",
+        "semilattice-size-bool",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, content):

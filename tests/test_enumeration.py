@@ -1,8 +1,14 @@
+import itertools
 from math import factorial
 
 import pytest
 
-from oracles import naive_automorphism_count, naive_quasi_families
+from oracles import (
+    naive_automorphism_count,
+    naive_quasi_families,
+    naive_question1,
+    naive_question2,
+)
 from yaxl import enumeration
 from yaxl.enumeration import (
     CLASSES,
@@ -14,11 +20,13 @@ from yaxl.enumeration import (
     search_question2,
     table1_row,
     TABLE1_EXPECTED,
+    _partner_masks,
     _quasi_families,
     _regular_candidates,
     _search_labeled,
 )
 from yaxl.shelves import canonical_form, is_canonical, is_quandle, is_rack, quasi_rack_structure
+from yaxl.solutions import Solution, is_solution
 
 
 def test_spec_validation():
@@ -127,6 +135,37 @@ def test_search_question2_small():
     assert "open question" in report["status"]
     with pytest.raises(ValueError):
         search_question2(4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_question1_matches_unpruned_oracle(n):
+    expected = naive_question1(n)
+    report = search_question1(n)
+    assert {k: report[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_question2_matches_unpruned_oracle(n):
+    expected = naive_question2(n)
+    report = search_question2(n)
+    assert {k: report[k] for k in expected} == expected
+
+
+def test_cell_filter_drops_only_non_solutions():
+    # every table of maps on 2 points as lambda and as rho; the filter is
+    # necessary for the braid identity, so whatever it drops must fail it
+    maps = list(itertools.product(range(2), repeat=2))
+    families = list(itertools.product(maps, repeat=2))
+    partners = _partner_masks(families)
+    kept = dropped = 0
+    for i, lam in enumerate(families):
+        for j, rho in enumerate(families):
+            if partners[i] >> j & 1 and partners[j] >> i & 1:
+                kept += 1
+            else:
+                dropped += 1
+                assert not is_solution(Solution(lam=lam, rho=rho)), (lam, rho)
+    assert kept and dropped
 
 
 def test_quasi_families_match_naive_filter():

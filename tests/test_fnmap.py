@@ -8,6 +8,7 @@ from yaxl.fnmap import (
     commutes,
     compose,
     identity,
+    idempotents_central,
     image,
     is_completely_regular,
     is_idempotent,
@@ -117,3 +118,9 @@ def test_relative_inverse_identities(f):
 @given(maps(4), maps(4), maps(4))
 def test_compose_associative(f, g, h):
     assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+@given(st.lists(maps(3), max_size=4), st.lists(maps(3), max_size=4))
+def test_idempotents_central_checks_every_pair(zeros, family):
+    expected = all(commutes(z, f) for z in zeros for f in family)
+    assert idempotents_central(zeros, family) == expected

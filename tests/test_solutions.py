@@ -10,6 +10,7 @@ from yaxl.fnmap import compose, identity, relative_inverse
 from yaxl.shelves import derived_map, quasi_rack_structure
 from yaxl.solutions import (
     Solution,
+    _braid_holds,
     check_A,
     check_B,
     check_C,
@@ -196,3 +197,17 @@ def test_random_tables_agree_with_braid(n, rnd):
     lam = tuple(tuple(rnd.randrange(n) for _ in range(n)) for _ in range(n))
     rho = tuple(tuple(rnd.randrange(n) for _ in range(n)) for _ in range(n))
     assert is_solution(Solution(lam=lam, rho=rho)) == naive_component_identities(lam, rho)
+
+
+def test_braid_holds_matches_component_oracle_on_random_maps():
+    # arbitrary maps, so most pairs are rejections, failing at any triple
+    rng = random.Random(6)
+    verdicts = {True: 0, False: 0}
+    for n in (2, 3, 4):
+        for _ in range(3000):
+            lam = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+            rho = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+            verdict = _braid_holds(Solution(lam=lam, rho=rho))
+            assert verdict == naive_component_identities(lam, rho), (lam, rho)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False] > verdicts[True]
