@@ -49,6 +49,12 @@ def _emit(args, payload: str, provenance: dict, text: bool) -> None:
         sys.stdout.write(out)
 
 
+def _emit_as(args, kind: str, obj, provenance: dict) -> None:
+    """Write ``obj``, a ``kind`` ("magma" or "solution"), in args.format."""
+    write = getattr(serialization, f"{kind}_to_{args.format}")
+    _emit(args, write(obj), provenance, text=args.format == "text")
+
+
 def _print_report(args, report: dict) -> None:
     if getattr(args, "human", False):
         for k, v in report.items():
@@ -163,20 +169,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    spec = enumeration.EnumerationSpec(
-        n=args.n,
-        klass=args.klass,
-        filters=frozenset(args.filter or ()),
-        mode="stream" if args.stream else "count",
+    filters = sorted(set(args.filter or ()))
+    tables = enumeration.enumerate_canonical(
+        args.n, args.klass, filters, workers=args.workers, override=args.override
     )
-    result = enumeration.enumerate_spec(spec, workers=args.workers, override=args.override)
     if args.stream:
-        blocks = [serialization.magma_to_text(t) for t in result]
+        blocks = [serialization.magma_to_text(t) for t in tables]
         sys.stdout.write("\n".join(blocks))
-        print(f"# count: {len(result)}")
+        print(f"# count: {len(tables)}")
     else:
         _print_report(args, {"n": args.n, "class": args.klass,
-                             "filters": sorted(spec.filters), "count": result})
+                             "filters": filters, "count": len(tables)})
     return 0
 
 
@@ -211,12 +214,7 @@ def cmd_derive(args) -> int:
     if q is None:
         print("input is not a quasi rack", file=sys.stderr)
         return 1
-    s = shelves.derived_map(q)
-    prov = _provenance(text.encode())
-    if args.format == "json":
-        _emit(args, serialization.solution_to_json(s), prov, text=False)
-    else:
-        _emit(args, serialization.solution_to_text(s), prov, text=True)
+    _emit_as(args, "solution", shelves.derived_map(q), _provenance(text.encode()))
     return 0
 
 
@@ -241,18 +239,11 @@ def cmd_construct(args) -> int:
             table = constructions.deformed_quasi_rack(c, args.idempotent)
     elif args.what == "brace-solution":
         b = serialization.weak_brace_from_json(text)
-        s = constructions.brace_solution(b)
-        if args.format == "json":
-            _emit(args, serialization.solution_to_json(s), prov, text=False)
-        else:
-            _emit(args, serialization.solution_to_text(s), prov, text=True)
+        _emit_as(args, "solution", constructions.brace_solution(b), prov)
         return 0
     else:
         raise ValueError(f"unknown construction {args.what!r}")
-    if args.format == "json":
-        _emit(args, serialization.magma_to_json(table), prov, text=False)
-    else:
-        _emit(args, serialization.magma_to_text(table), prov, text=True)
+    _emit_as(args, "magma", table, prov)
     return 0
 
 
@@ -281,17 +272,11 @@ def cmd_twist(args) -> int:
     if not twists.is_g_twist(t):
         print("twist family is not a g-twist", file=sys.stderr)
         return 1
-    s = twists.solution_from_twist(t)
-    if args.format == "json":
-        _emit(args, serialization.solution_to_json(s), prov, text=False)
-    else:
-        _emit(args, serialization.solution_to_text(s), prov, text=True)
+    _emit_as(args, "solution", twists.solution_from_twist(t), prov)
     return 0
 
 
 def cmd_search(args) -> int:
-    if args.n >= 4 and args.seed is None:
-        raise ValueError("sampled searches require an explicit --seed")
     fn = enumeration.search_question1 if args.question == 1 else enumeration.search_question2
     report = fn(args.n, seed=args.seed, samples=args.samples)
     out = json.dumps(report, default=list)

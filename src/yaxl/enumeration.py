@@ -2,13 +2,20 @@
 racks by row-backtracking, plus the open-question counterexample
 searches.
 
-The backtracker places left-translation rows one at a time.  Candidate
-rows are permutations (rack/quandle), completely regular maps (quasi
-classes) or arbitrary maps (shelf), indexed once per search.  After
-placing row k every self-distributivity pair whose three participating
-rows are now all placed is checked pointwise, so a completed assignment
-satisfies the class axioms by construction.  Two prunings skip only
-candidates that this check, or the class axioms, would reject:
+One engine, ``_place``, places rows one at a time: it walks each row's
+candidate bitmask low bit first, intersects per-candidate compatibility
+masks down the tree and calls a placement check after each row.  It
+has three callers: the labeled-table search (``_search_labeled``), the
+lambda and rho families of quasi classes (``_quasi_families``), and the
+rho tables of the second open-question search.
+
+The labeled search places left-translation rows.  Candidate rows are
+permutations (rack/quandle), completely regular maps (quasi classes) or
+arbitrary maps (shelf), indexed once per search.  After placing row k
+every self-distributivity pair whose three participating rows are now
+all placed is checked pointwise, so a completed assignment satisfies
+the class axioms by construction.  Two prunings skip only candidates
+that this check, or the class axioms, would reject:
 
 - idempotent centrality (quasi classes) depends only on a pair of
   candidates, so it is precomputed as one bitmask of compatible
@@ -29,7 +36,6 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from .fnmap import commutes, is_completely_regular, is_permutation, relative_inverse
 from .shelves import (
@@ -60,26 +66,6 @@ _QUASI = {"quasi_rack", "quasi_quandle"}
 
 # Largest n enumerable without an explicit override.
 SIZE_GUARD = 5
-
-
-@dataclass(frozen=True)
-class EnumerationSpec:
-    n: int
-    klass: str
-    filters: frozenset = field(default_factory=frozenset)
-    mode: str = "count"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("carrier size must be positive")
-        if self.klass not in CLASSES:
-            raise ValueError(f"unknown class {self.klass!r}")
-        if not set(self.filters) <= set(FILTERS):
-            raise ValueError(f"unknown filters {set(self.filters) - set(FILTERS)}")
-        if self.filters and self.klass not in _QUASI:
-            raise ValueError("filters only apply to quasi classes")
-        if self.mode not in ("count", "stream"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def _regular_candidates(n: int) -> list:
@@ -128,6 +114,40 @@ def _compat_masks(base) -> list:
     return [commuting[z] & central[i] for i, (_, z) in enumerate(base)]
 
 
+def _place(maps, row_masks, compat=None, place_ok=None, forced=None):
+    """Yield every tuple of rows (maps[i_0], ..., maps[i_{n-1}]) with bit
+    i_k set in ``row_masks[k]``, depth-first in index order.
+
+    ``compat[i]`` (if given) is the mask of indices allowed in every later
+    row once index i is placed; the masks of the placed rows intersect.
+    ``place_ok(rows, k)`` is called after row k is placed and rejects it
+    by returning False; ``forced(rows, k)`` returns a mask that row k must
+    also meet, or None.  With none of the three, the rows come out as
+    the ``itertools.product`` of each row's allowed maps.
+    """
+    n = len(row_masks)
+    rows = [None] * n
+
+    def rec(k: int, mask: int):
+        if k == n:
+            yield tuple(rows)
+            return
+        todo = mask & row_masks[k]
+        if forced is not None:
+            only = forced(rows, k)
+            if only is not None:
+                todo &= only
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            rows[k] = maps[i]
+            if place_ok is None or place_ok(rows, k):
+                yield from rec(k + 1, mask if compat is None else mask & compat[i])
+
+    yield from rec(0, -1)
+
+
 def _search_labeled(n: int, klass: str, first_rows=None):
     """Yield every labeled table of the class, depth-first.
 
@@ -139,16 +159,12 @@ def _search_labeled(n: int, klass: str, first_rows=None):
     if first_rows is not None:
         row_cands[0] = [row_cands[0][i] for i in first_rows]
     row_masks = [sum(1 << i for i in c) for c in row_cands]
-    if klass in _QUASI:
-        compat = _compat_masks(base)
-    else:
-        compat = [-1] * len(base)
+    compat = _compat_masks(base) if klass in _QUASI else None
     index = {f: i for i, f in enumerate(maps)}
     inverses = {f: relative_inverse(f).inv for f in maps if is_permutation(f)}
-    rows = [None] * n
     span = range(n)
 
-    def place_ok(k: int) -> bool:
+    def place_ok(rows, k: int) -> bool:
         for x in range(k + 1):
             mx = rows[x]
             for y in range(k + 1):
@@ -163,33 +179,17 @@ def _search_labeled(n: int, klass: str, first_rows=None):
                         return False
         return True
 
-    def forced_row(k: int):
+    def forced(rows, k: int):
         # L_x L_y = L_k L_x with L_x invertible fixes L_k.
         for x in range(k):
             inv = inverses.get(rows[x])
             if inv is not None and inv[k] < k:
                 mx, my = rows[x], rows[inv[k]]
-                return tuple(mx[my[v]] for v in inv)
+                i = index.get(tuple(mx[my[v]] for v in inv))
+                return 0 if i is None else 1 << i
         return None
 
-    def rec(k: int, mask: int):
-        if k == n:
-            yield tuple(rows)
-            return
-        todo = mask & row_masks[k]
-        forced = forced_row(k)
-        if forced is not None:
-            i = index.get(forced)
-            todo &= 0 if i is None else 1 << i
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            i = low.bit_length() - 1
-            rows[k] = maps[i]
-            if place_ok(k):
-                yield from rec(k + 1, mask & compat[i])
-
-    yield from rec(0, -1)
+    yield from _place(maps, row_masks, compat, place_ok, forced)
 
 
 def _passes_filters(table, filters) -> bool:
@@ -217,11 +217,17 @@ def enumerate_canonical(
     n: int, klass: str, filters=(), workers: int = 1, override: bool = False
 ) -> list:
     """Sorted canonical representatives of every isomorphism class."""
-    if n > SIZE_GUARD and not override:
-        raise ValueError(f"n={n} exceeds the size guard ({SIZE_GUARD}); pass the override")
+    if n < 1:
+        raise ValueError("carrier size must be positive")
+    if klass not in CLASSES:
+        raise ValueError(f"unknown class {klass!r}")
     filters = frozenset(filters)
+    if not filters <= set(FILTERS):
+        raise ValueError(f"unknown filters {set(filters) - set(FILTERS)}")
     if filters and klass not in _QUASI:
         raise ValueError("filters only apply to quasi classes")
+    if n > SIZE_GUARD and not override:
+        raise ValueError(f"n={n} exceeds the size guard ({SIZE_GUARD}); pass the override")
     if workers <= 1:
         survivors = [t for t in _search_labeled(n, klass) if is_canonical(t)]
     else:
@@ -235,16 +241,6 @@ def enumerate_canonical(
     survivors = [t for t in survivors if _passes_filters(t, filters)]
     survivors.sort()
     return survivors
-
-
-def enumerate_spec(spec: EnumerationSpec, workers: int = 1, override: bool = False):
-    """Count, or the sorted canonical stream, per the spec's mode."""
-    out = enumerate_canonical(
-        spec.n, spec.klass, spec.filters, workers=workers, override=override
-    )
-    if spec.mode == "count":
-        return len(out)
-    return out
 
 
 def cross_tabulate(n: int, workers: int = 1) -> dict:
@@ -324,23 +320,8 @@ def _quasi_families(n: int, cands):
     ``cands`` is a list of (map, zero) pairs; the members of a family
     are pairwise compatible under ``_compat_masks``.
     """
-    compat = _compat_masks(cands)
-    chosen = []
-
-    def rec(k: int, mask: int):
-        if k == n:
-            yield tuple(chosen)
-            return
-        todo = mask
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            i = low.bit_length() - 1
-            chosen.append(cands[i][0])
-            yield from rec(k + 1, mask & compat[i])
-            chosen.pop()
-
-    yield from rec(0, (1 << len(cands)) - 1)
+    full = (1 << len(cands)) - 1
+    yield from _place([f for f, _ in cands], [full] * n, _compat_masks(cands))
 
 
 def _cell_values(f, x: int, y: int) -> list:
@@ -380,6 +361,21 @@ def _partner_masks(families) -> list:
     return masks
 
 
+def _exhaustive(n: int, seed, samples: int) -> bool:
+    """Whether a search at size n is exhaustive (n <= 3) rather than
+    sampled; refuses sizes outside 1..SIZE_GUARD, and a sampled search
+    without a seed or without samples."""
+    if not 1 <= n <= SIZE_GUARD:
+        raise ValueError(f"search size must be between 1 and {SIZE_GUARD}, got {n}")
+    if n <= 3:
+        return True
+    if seed is None:
+        raise ValueError("sampling requires an explicit seed")
+    if samples < 1:
+        raise ValueError(f"sampling needs at least one sample, got {samples}")
+    return False
+
+
 def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     """Hunt for a quasi non-degenerate solution that is not quasi bijective.
 
@@ -402,11 +398,11 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     report never asserts an answer: an empty candidate list means only
     that no counterexample was found among the structures checked.
     """
+    exhaustive = _exhaustive(n, seed, samples)
     cands = _regular_candidates(n)
     candidates = []
     checked = 0
-    if n <= 3:
-        exhaustive = True
+    if exhaustive:
         families = list(_quasi_families(n, cands))
         checked = len(families) ** 2
         partners = _partner_masks(families)
@@ -425,9 +421,6 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
                 if quasi_bijective(s) is None:
                     candidates.append(s)
     else:
-        exhaustive = False
-        if seed is None:
-            raise ValueError("sampling requires an explicit seed")
         rng = random.Random(seed)
         compat = _compat_masks(cands)
         picks = range(len(cands))
@@ -467,15 +460,20 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     and a candidate is one whose structure magma is not a quasi rack.
 
     Exhaustive for n <= 3 over every such lambda family and every rho
-    table that the braid identity's first component allows: given
-    lambda, each cell rho_y(x) ranges over ``_cell_values(lambda, x, y)``
-    and the tables are taken in the lexicographic order of all tables; a
-    lambda family with an empty cell is skipped whole.  The full braid
-    check still decides every table.  Seeded sampling at n >= 4 draws
-    each lambda_x among the completely regular maps and each rho_y among
-    all maps.  The report never asserts an answer.
+    table that two of the braid identity's components allow.  Given
+    lambda, rho is placed row by row (``_place``) in the lexicographic
+    order of all tables: each cell rho_y(x) ranges over
+    ``_cell_values(lambda, x, y)`` (the first component), and once a row
+    is placed the third component, rho_z rho_y = rho_{rho_z(y)}
+    rho_{lambda_y(z)}, is checked on every pair whose four rows are
+    placed.  The full braid check still decides every table.  Seeded
+    sampling at n >= 4 draws each lambda_x among the completely regular
+    maps and each rho_y among all maps.  The report never asserts an
+    answer.
     """
+    exhaustive = _exhaustive(n, seed, samples)
     cr = _regular_candidates(n)
+    all_maps = list(itertools.product(range(n), repeat=n))
     candidates = []
     checked = 0
 
@@ -494,21 +492,32 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
         if quasi_rack_structure(structure_magma(s, d)) is None:
             candidates.append(s)
 
-    if n <= 3:
-        exhaustive = True
+    if exhaustive:
         span = range(n)
         for lam in _quasi_families(n, cr):
-            # rows of the allowed cells; one empty cell leaves no rho at all
-            rows = [list(itertools.product(*(_cell_values(lam, x, y) for x in span)))
-                    for y in span]
-            for rho in itertools.product(*rows):
+            cells = [[_cell_values(lam, x, y) for x in span] for y in span]
+            row_masks = [
+                sum(1 << i for i, f in enumerate(all_maps) if all(f[x] in cy[x] for x in span))
+                for cy in cells
+            ]
+
+            def third_component_ok(rows, k: int) -> bool:
+                for z in range(k + 1):
+                    rz = rows[z]
+                    for y in range(k + 1):
+                        t, u = rz[y], lam[y][z]
+                        if t > k or u > k or k not in (z, y, t, u):
+                            continue  # not all placed, or checked already
+                        ry, rt, ru = rows[y], rows[t], rows[u]
+                        for v in span:
+                            if rz[ry[v]] != rt[ru[v]]:
+                                return False
+                return True
+
+            for rho in _place(all_maps, row_masks, place_ok=third_component_ok):
                 consider(Solution(lam=lam, rho=rho))
     else:
-        exhaustive = False
-        if seed is None:
-            raise ValueError("sampling requires an explicit seed")
         rng = random.Random(seed)
-        all_maps = list(itertools.product(range(n), repeat=n))
         for _ in range(samples):
             lam = tuple(f for f, _ in (rng.choice(cr) for _ in range(n)))
             rho = tuple(rng.choice(all_maps) for _ in range(n))

@@ -109,7 +109,9 @@ def test_enumerate_stream_workers_agree(capsys):
 
 
 def test_enumerate_guard(capsys):
-    assert main(["enumerate", "--n", "8", "--class", "rack"]) == 2
+    for n in ("8", "0"):
+        assert main(["enumerate", "--n", n, "--class", "rack"]) == 2
+        _assert_one_line_error(capsys)
 
 
 def test_table1(capsys):
@@ -435,11 +437,17 @@ def test_search_commands(tmp_path, capsys):
     assert main(["search", "--question", "1", "--n", "2", "-o", out]) == 0
     report = json.loads(open(out).read())
     assert report["exhaustive"] and "open question" in report["status"]
-    # n >= 4 without a seed is a usage error
-    assert main(["search", "--question", "1", "--n", "4"]) == 2
     assert main(["search", "--question", "2", "--n", "2"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert "open question" in report["status"]
+    # sizes outside 1..SIZE_GUARD, and sampling without a seed or samples,
+    # are usage errors
+    for question in ("1", "2"):
+        for bad in (["--n", "4"], ["--n", "0"], ["--n", "-2"], ["--n", "8", "--seed", "1"],
+                    ["--n", "4", "--seed", "1", "--samples", "0"],
+                    ["--n", "4", "--seed", "1", "--samples", "-5"]):
+            assert main(["search", "--question", question] + bad) == 2, bad
+            _assert_one_line_error(capsys)
 
 
 def test_version(capsys):

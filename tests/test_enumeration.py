@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -12,35 +13,31 @@ from oracles import (
 from yaxl import enumeration
 from yaxl.enumeration import (
     CLASSES,
-    EnumerationSpec,
     cross_tabulate,
     enumerate_canonical,
-    enumerate_spec,
     search_question1,
     search_question2,
     table1_row,
     TABLE1_EXPECTED,
     _partner_masks,
+    _place,
     _quasi_families,
     _regular_candidates,
     _search_labeled,
 )
-from yaxl.shelves import canonical_form, is_canonical, is_quandle, is_rack, quasi_rack_structure
+from yaxl.shelves import canonical_form, is_canonical, is_quandle, quasi_rack_structure
 from yaxl.solutions import Solution, is_solution
 
 
 def test_spec_validation():
-    EnumerationSpec(3, "rack")
     with pytest.raises(ValueError):
-        EnumerationSpec(0, "rack")
+        enumerate_canonical(0, "rack")
     with pytest.raises(ValueError):
-        EnumerationSpec(3, "loop")
+        enumerate_canonical(3, "loop")
     with pytest.raises(ValueError):
-        EnumerationSpec(3, "rack", frozenset({"star"}))  # filters need quasi
+        enumerate_canonical(3, "rack", frozenset({"star"}))  # filters need quasi
     with pytest.raises(ValueError):
-        EnumerationSpec(3, "quasi_rack", frozenset({"bogus"}))
-    with pytest.raises(ValueError):
-        EnumerationSpec(3, "quasi_rack", mode="sample")
+        enumerate_canonical(3, "quasi_rack", frozenset({"bogus"}))
 
 
 def test_size_guard(monkeypatch):
@@ -88,13 +85,6 @@ def test_filters():
 def test_workers_agree():
     for klass in CLASSES:
         assert enumerate_canonical(3, klass, workers=2) == enumerate_canonical(3, klass)
-
-
-def test_enumerate_spec_modes():
-    spec = EnumerationSpec(3, "rack")
-    assert enumerate_spec(spec) == 6
-    stream = enumerate_spec(EnumerationSpec(3, "rack", mode="stream"))
-    assert len(stream) == 6 and all(is_rack(t) for t in stream)
 
 
 def test_table1_rows():
@@ -174,6 +164,19 @@ def test_quasi_families_match_naive_filter():
         families = list(_quasi_families(n, _regular_candidates(n)))
         assert len(families) == count
         assert families == naive_quasi_families(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_place_without_checks_is_the_product_of_the_rows(n):
+    # Q2's pinned digest depends on this order
+    maps = list(itertools.product(range(n), repeat=n))
+    rng = random.Random(n)
+    for _ in range(20):
+        allowed = [sorted(rng.sample(range(len(maps)), rng.randrange(len(maps) + 1)))
+                   for _ in range(n)]
+        row_masks = [sum(1 << i for i in row) for row in allowed]
+        expected = list(itertools.product(*([maps[i] for i in row] for row in allowed)))
+        assert list(_place(maps, row_masks)) == expected
 
 
 # Labeled tables yielded by the backtracker, pinned before the search was
