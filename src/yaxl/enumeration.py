@@ -232,10 +232,9 @@ def enumerate_canonical(
         survivors = [t for t in _search_labeled(n, klass) if is_canonical(t)]
     else:
         total = len(_row_candidates(n, klass)[1][0])
-        chunks = [list(range(i, total, workers)) for i in range(workers)]
-        chunks = [c for c in chunks if c]
+        chunks = [list(range(i, total, workers)) for i in range(min(workers, total))]
         survivors = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_worker, [(n, klass, c) for c in chunks]):
                 survivors.extend(part)
     survivors = [t for t in survivors if _passes_filters(t, filters)]

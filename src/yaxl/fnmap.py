@@ -46,7 +46,7 @@ def compose(f: FnMap, g: FnMap) -> FnMap:
     """(f o g)(i) = f(g(i)). Sizes must agree."""
     if len(f) != len(g):
         raise ValueError(f"size mismatch: {len(f)} vs {len(g)}")
-    return tuple(f[x] for x in g)
+    return tuple([f[x] for x in g])
 
 
 def power(f: FnMap, k: int) -> FnMap:
@@ -118,8 +118,8 @@ def relative_inverse(f: FnMap) -> Optional[RegularTriple]:
     p = _restriction_period(f)
     inv = f if p == 1 else power(f, p - 1)
     zero = compose(f, inv)
-    assert compose(compose(f, inv), f) == f
-    assert compose(compose(inv, f), inv) == inv
+    assert compose(zero, f) == f
+    assert compose(inv, zero) == inv
     assert compose(inv, f) == zero and is_idempotent(zero)
     return RegularTriple(f, inv, zero)
 

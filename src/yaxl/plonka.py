@@ -25,7 +25,6 @@ from .shelves import (
     check_star,
     check_starstarstar,
     derived_map,
-    is_left_shelf,
     is_quasi_quandle,
     is_rack,
     quasi_rack_structure,
@@ -37,19 +36,13 @@ PlonkaSystem = SemilatticeSystem
 
 def plonka_sum(p: PlonkaSystem) -> Magma:
     """a |> b := phi_{alpha, alpha^beta}(a) |> phi_{beta, alpha^beta}(b)
-    computed in the meet fiber.  The result is asserted to be a left shelf."""
-    validate_system(p, is_rack)
-    table = semilattice_sum(p)
-    assert is_left_shelf(table)
-    return table
+    computed in the meet fiber: the table of ``checked_sum``, so the
+    system is validated and every guarantee listed there is asserted."""
+    return checked_sum(p).table
 
 
-def _sum_quasi_rack(p: PlonkaSystem) -> QuasiRack:
-    """The validated sum, built and checked to be a quasi rack once."""
-    validate_system(p, is_rack)
-    q = quasi_rack_structure(semilattice_sum(p))
-    assert q is not None, "Plonka sum must be a quasi rack"
-    return q
+# the last system checked and its sum, one pair so that a thread reads both
+_last = [(None, None)]
 
 
 def checked_sum(p: PlonkaSystem) -> QuasiRack:
@@ -60,8 +53,18 @@ def checked_sum(p: PlonkaSystem) -> QuasiRack:
     L_a^0(b) = phi_{beta, alpha^beta}(b) and
     L_a^-(b) = (L_{phi(a)} in the meet fiber)^{-1}(phi_{beta, alpha^beta}(b));
     quandle fibers give a quasi quandle.
+
+    The check runs once per system object: a one-slot memo keyed by
+    identity returns the last system's sum again.  The system must not be
+    mutated after its first check (its ``homs`` dict included; the
+    dataclass is frozen but the dict is not).
     """
-    q = _sum_quasi_rack(p)
+    seen, q = _last[0]
+    if seen is p:
+        return q
+    validate_system(p, is_rack)
+    q = quasi_rack_structure(semilattice_sum(p))
+    assert q is not None, "Plonka sum must be a quasi rack"
     assert check_star(q) and check_starstarstar(q)
     off = p.offsets()
     for x, y, c, u, v in sum_pairs(p):
@@ -71,6 +74,7 @@ def checked_sum(p: PlonkaSystem) -> QuasiRack:
     # the fibers are racks, so each is a quandle iff its diagonal is fixed
     if all(f[i][i] == i for f in p.fibers for i in range(len(f))):
         assert is_quasi_quandle(q)
+    _last[0] = (p, q)
     return q
 
 
@@ -153,7 +157,7 @@ def solution_as_strong_semilattice(p: PlonkaSystem) -> bool:
     Every L^0 of a rack is the identity, so a fiber's derived solution
     is r(u, v) = (v, v |> u).
     """
-    s = derived_map(_sum_quasi_rack(p))
+    s = derived_map(checked_sum(p))
     off = p.offsets()
     for x, y, c, u, v in sum_pairs(p):
         if s.apply(x, y) != (off[c] + v, off[c] + p.fibers[c][v][u]):

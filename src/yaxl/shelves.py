@@ -40,9 +40,10 @@ def is_left_shelf(table: Magma) -> bool:
 
     Checked in row form: L_x L_y == L_{x |> y} L_x for all pairs.
     """
-    for x, row_x in enumerate(table):
-        for y, t in enumerate(row_x):
-            if compose(row_x, table[y]) != compose(table[t], row_x):
+    for row_x in table:
+        for row_y, t in zip(table, row_x):
+            row_t = table[t]
+            if [row_x[v] for v in row_y] != [row_t[v] for v in row_x]:
                 return False
     return True
 

@@ -87,6 +87,30 @@ def test_workers_agree():
         assert enumerate_canonical(3, klass, workers=2) == enumerate_canonical(3, klass)
 
 
+def test_worker_pool_is_bounded_by_the_chunks(monkeypatch):
+    asked = []
+
+    class InlinePool:
+        """Records max_workers and runs the chunks in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    tables = enumerate_canonical(3, "shelf", workers=1000)
+    assert asked and asked[0] <= 27
+    assert tables == enumerate_canonical(3, "shelf", workers=1)
+
+
 def test_table1_rows():
     for n in (2, 3):
         assert table1_row(n) == TABLE1_EXPECTED[n]

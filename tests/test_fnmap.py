@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_relative_inverses
+from oracles import brute_relative_inverses, comp
 from yaxl.fnmap import (
     commutes,
     compose,
@@ -113,6 +113,11 @@ def test_relative_inverse_identities(f):
     assert compose(compose(t.inv, f), t.inv) == t.inv
     assert compose(f, t.inv) == compose(t.inv, f) == t.zero
     assert is_idempotent(t.zero)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(maps(n), maps(n))))
+def test_compose_matches_oracle(fg):
+    assert compose(*fg) == comp(*fg)
 
 
 @given(maps(4), maps(4), maps(4))

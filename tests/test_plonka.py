@@ -152,3 +152,28 @@ def test_three_point_semilattice_v_shape():
     assert roundtrip(q)
     # incomparable top points multiply into the bottom
     assert table[1][3] == 0
+
+
+def test_each_system_is_checked_once(monkeypatch):
+    from yaxl import plonka
+
+    calls = {"validate_system": 0, "quasi_rack_structure": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(plonka, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(plonka, name, counted)
+    d3, t1 = dihedral_quandle(3), trivial_quandle(1)
+    p = two_chain(t1, d3, (0, 0, 0))
+    plonka_sum(p)
+    assert all(sum_structure_check(p).values())
+    assert solution_as_strong_semilattice(p)
+    assert calls == {"validate_system": 1, "quasi_rack_structure": 1}
+    # equal content, another object: checked again
+    assert plonka_sum(two_chain(t1, d3, (0, 0, 0))) == plonka_sum(p)
+    assert calls == {"validate_system": 3, "quasi_rack_structure": 3}
+    # an invalid system after a valid one still raises
+    with pytest.raises(ValueError):
+        plonka_sum(two_chain(t1, d3, (0, 0)))
+    with pytest.raises(ValueError):
+        sum_structure_check(two_chain(d3, d3, (0, 0, 1)))

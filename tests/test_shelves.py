@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixtures import DS_NO_CONDITIONS, SSS_NOT_STAR, STAR_NOT_STARSTAR, dihedral_quandle, trivial_quandle
-from oracles import naive_canonical_form
+from oracles import is_self_distributive, naive_canonical_form, naive_is_quasi_rack
 from yaxl.fnmap import compose, identity
 from yaxl.shelves import (
     are_isomorphic,
@@ -178,3 +178,28 @@ def test_quasi_structure_transports(table, perm):
     assert check_star(q1) == check_star(q2)
     assert check_starstar(q1) == check_starstar(q2)
     assert check_starstarstar(q1) == check_starstarstar(q2)
+
+
+def test_kernels_match_oracles_on_every_table_n3():
+    rows = list(itertools.product(range(3), repeat=3))
+    for table in itertools.product(rows, repeat=3):
+        assert is_left_shelf(table) == is_self_distributive(table)
+        assert (quasi_rack_structure(table) is not None) == naive_is_quasi_rack(table)
+
+
+@st.composite
+def tables_4_to_6(draw):
+    """Random tables, and known shelves with at most one cell changed."""
+    n = draw(st.integers(4, 6))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=n, max_size=n)))
+    base = draw(st.sampled_from([dihedral_quandle(n), trivial_quandle(n), tuple((0,) * n for _ in range(n))]))
+    rows = [list(row) for row in base]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return tuple(tuple(row) for row in rows)
+
+
+@given(tables_4_to_6())
+def test_is_left_shelf_matches_oracle_n4_to_6(table):
+    assert is_left_shelf(table) == is_self_distributive(table)
