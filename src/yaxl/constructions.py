@@ -201,15 +201,13 @@ class SemilatticeSystem:
 
 def _gluing_composes(meet: Magma, homs: dict) -> bool:
     """homs[(b, c)] o homs[(a, b)] == homs[(a, c)] for all a >= b >= c."""
-    m = len(meet)
+    below = [[b for b, ab in enumerate(row) if ab == b] for row in meet]
     # fibers differ in size, so compose by hand
     return all(
-        tuple(homs[(b, c)][v] for v in homs[(a, b)]) == homs[(a, c)]
-        for a in range(m)
-        for b in range(m)
-        if semilattice_geq(meet, a, b)
-        for c in range(m)
-        if semilattice_geq(meet, b, c)
+        tuple([homs[(b, c)][v] for v in homs[(a, b)]]) == homs[(a, c)]
+        for a in range(len(meet))
+        for b in below[a]
+        for c in below[b]
     )
 
 
@@ -243,29 +241,24 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
         raise ValueError("gluing homomorphisms do not compose")
 
 
-def sum_pairs(sys: SemilatticeSystem) -> Iterator[tuple]:
-    """Every pair (x, y) of the sum's carrier, projected into the fiber c
-    of the meet of their points: yields (x, y, c, u, v) with u, v the
-    images of x, y in fiber c.  Global elements are the fibers
-    concatenated in point order."""
-    off = sys.offsets()
-    fiber_of = [a for a, f in enumerate(sys.fibers) for _ in f]
-    for x, a in enumerate(fiber_of):
-        for y, b in enumerate(fiber_of):
-            c = sys.meet[a][b]
-            yield x, y, c, sys.homs[(a, c)][x - off[a]], sys.homs[(b, c)][y - off[b]]
+def sum_blocks(sys: SemilatticeSystem) -> Iterator[list]:
+    """Row by row, x's blocks (c, u, homs[(b, c)]) for each point b: c is
+    the meet of x's point and b, u the image of x in fiber c.  The cells
+    (c, u, v), v in the blocks' maps in order, are row x's pairs (x, y)."""
+    for a, fiber in enumerate(sys.fibers):
+        row = [(c, sys.homs[(a, c)], sys.homs[(b, c)]) for b, c in enumerate(sys.meet[a])]
+        for k in range(len(fiber)):
+            yield [(c, into[k], h) for c, into, h in row]
 
 
 def semilattice_sum(sys: SemilatticeSystem) -> Magma:
     """Disjoint union of the fibers; the product of x in fiber a and y in
     fiber b is taken in the meet fiber after the gluing maps.  The system
     is not validated here."""
-    off = sys.offsets()
-    n = sys.size
-    table = [[0] * n for _ in range(n)]
-    for x, y, c, u, v in sum_pairs(sys):
-        table[x][y] = off[c] + sys.fibers[c][u][v]
-    return tuple(tuple(row) for row in table)
+    off, fibers = sys.offsets(), sys.fibers
+    return tuple(
+        tuple([off[c] + fibers[c][u][v] for c, u, h in blocks for v in h]) for blocks in sum_blocks(sys)
+    )
 
 
 def clifford_from_system(sys: SemilatticeSystem) -> CliffordTable:

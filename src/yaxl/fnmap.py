@@ -64,7 +64,9 @@ def power(f: FnMap, k: int) -> FnMap:
 
 
 def commutes(f: FnMap, g: FnMap) -> bool:
-    return compose(f, g) == compose(g, f)
+    if len(f) != len(g):
+        raise ValueError(f"size mismatch: {len(f)} vs {len(g)}")
+    return [f[x] for x in g] == [g[x] for x in f]
 
 
 def image(f: FnMap) -> frozenset:
@@ -144,17 +146,23 @@ def regular_family(family) -> Optional[RegularFamily]:
 
 def idempotents_central(idempotents, family) -> bool:
     """Every given idempotent commutes with every member of the family;
-    each distinct idempotent is tested once."""
-    return all(commutes(z, f) for z in set(idempotents) for f in family)
+    each distinct idempotent is tested once, against the whole family."""
+    return all(
+        [z[v] for f in family for v in f] == [f[v] for f in family for v in z] for z in set(idempotents)
+    )
 
 
 def zeros_multiplicative(family, zero) -> bool:
     """zero[f_x(y)] == zero[x] zero[y] for all x, y, where f_x = family[x]
     and zero[x] is its idempotent: condition (*) of a quasi rack and (A)
-    of a solution, on the translations and on the lambda family."""
-    for x, fx in enumerate(family):
-        zx = zero[x]
-        for y, t in enumerate(fx):
-            if zero[t] != compose(zx, zero[y]):
-                return False
+    of a solution, on the translations and on the lambda family.  Each
+    product of two distinct idempotents is composed once."""
+    index = {}
+    k = [index.setdefault(z, len(index)) for z in zero]
+    products = {}  # products[k[x]][k[y]]: the index of zero[x] zero[y], or -1
+    for fx, zx, kx in zip(family, zero, k):
+        if kx not in products:
+            products[kx] = [index.get(compose(zx, z), -1) for z in index]
+        if [k[t] for t in fx] != [products[kx][ky] for ky in k]:
+            return False
     return True

@@ -14,10 +14,10 @@ from .constructions import (
     is_semilattice,
     semilattice_geq,
     semilattice_sum,
-    sum_pairs,
+    sum_blocks,
     validate_system,
 )
-from .fnmap import compose
+from .fnmap import compose, idempotents_central
 from .shelves import (
     Magma,
     QuasiRack,
@@ -25,9 +25,9 @@ from .shelves import (
     check_star,
     check_starstarstar,
     derived_map,
+    is_left_shelf,
     is_quasi_quandle,
     is_rack,
-    quasi_rack_structure,
 )
 
 # A Plonka system is a semilattice system whose fibers are racks.
@@ -36,45 +36,45 @@ PlonkaSystem = SemilatticeSystem
 
 def plonka_sum(p: PlonkaSystem) -> Magma:
     """a |> b := phi_{alpha, alpha^beta}(a) |> phi_{beta, alpha^beta}(b)
-    computed in the meet fiber: the table of ``checked_sum``, so the
-    system is validated and every guarantee listed there is asserted."""
-    return checked_sum(p).table
-
-
-# the last system checked and its sum, one pair so that a thread reads both
-_last = [(None, None)]
+    computed in the meet fiber.  The result is asserted to be a left shelf."""
+    validate_system(p, is_rack)
+    table = semilattice_sum(p)
+    assert is_left_shelf(table)
+    return table
 
 
 def checked_sum(p: PlonkaSystem) -> QuasiRack:
     """The validated sum, with every theorem guarantee on it asserted:
 
-    the sum is a quasi rack satisfying (*) and (***); the cached
-    relative-inverse data match the closed forms
+    the sum is a quasi rack satisfying (*) and (***) whose relative
+    inverses are the closed forms
     L_a^0(b) = phi_{beta, alpha^beta}(b) and
     L_a^-(b) = (L_{phi(a)} in the meet fiber)^{-1}(phi_{beta, alpha^beta}(b));
     quandle fibers give a quasi quandle.
 
-    The check runs once per system object: a one-slot memo keyed by
-    identity returns the last system's sum again.  The system must not be
-    mutated after its first check (its ``homs`` dict included; the
-    dataclass is frozen but the dict is not).
+    The closed forms are built with the table, then certified: each L_a
+    lies in the group of L_a^0 with inverse L_a^-.  Nothing is cached.
     """
-    seen, q = _last[0]
-    if seen is p:
-        return q
     validate_system(p, is_rack)
-    q = quasi_rack_structure(semilattice_sum(p))
-    assert q is not None, "Plonka sum must be a quasi rack"
+    table = semilattice_sum(p)
+    off, fibers = p.offsets(), p.fibers
+    # the fibers are racks: invert each translation, a permutation
+    inverse = [[tuple(sorted(range(len(row)), key=row.__getitem__)) for row in f] for f in fibers]
+    zero, inv = [], []
+    for blocks in sum_blocks(p):
+        zero.append(tuple([off[c] + v for c, u, h in blocks for v in h]))
+        inv.append(tuple([off[c] + inverse[c][u][v] for c, u, h in blocks for v in h]))
+    assert is_left_shelf(table), "Plonka sum must be a quasi rack"
+    # f i == z == i f and z f == f put f in the group of z (then z z == z
+    # and f z == f); i z == i puts i there, as the inverse of f
+    for f, z, i in zip(table, zero, inv):
+        assert compose(f, i) == z == compose(i, f) and compose(z, f) == f and compose(i, z) == i
+    assert idempotents_central(zero, table)
+    q = QuasiRack(table, tuple(inv), tuple(zero))
     assert check_star(q) and check_starstarstar(q)
-    off = p.offsets()
-    for x, y, c, u, v in sum_pairs(p):
-        assert q.L_zero[x][y] == off[c] + v
-        # invert the fiber translation (a permutation since fibers are racks)
-        assert q.L_inv[x][y] == off[c] + p.fibers[c][u].index(v)
     # the fibers are racks, so each is a quandle iff its diagonal is fixed
-    if all(f[i][i] == i for f in p.fibers for i in range(len(f))):
+    if all(f[i][i] == i for f in fibers for i in range(len(f))):
         assert is_quasi_quandle(q)
-    _last[0] = (p, q)
     return q
 
 
@@ -158,8 +158,11 @@ def solution_as_strong_semilattice(p: PlonkaSystem) -> bool:
     is r(u, v) = (v, v |> u).
     """
     s = derived_map(checked_sum(p))
-    off = p.offsets()
-    for x, y, c, u, v in sum_pairs(p):
-        if s.apply(x, y) != (off[c] + v, off[c] + p.fibers[c][v][u]):
+    off, fibers = p.offsets(), p.fibers
+    rho_at = list(zip(*s.rho))  # rho_at[x][y] = rho_y(x)
+    for x, blocks in enumerate(sum_blocks(p)):
+        if s.lam[x] != tuple([off[c] + v for c, u, h in blocks for v in h]):
+            return False
+        if rho_at[x] != tuple([off[c] + fibers[c][v][u] for c, u, h in blocks for v in h]):
             return False
     return True

@@ -38,13 +38,13 @@ def validate_table(table) -> Magma:
 def is_left_shelf(table: Magma) -> bool:
     """x |> (y |> z) == (x |> y) |> (x |> z) for all triples.
 
-    Checked in row form: L_x L_y == L_{x |> y} L_x for all pairs.
+    Checked in row form: L_x L_y == L_{x |> y} L_x, for one x and all y at once.
     """
     for row_x in table:
-        for row_y, t in zip(table, row_x):
-            row_t = table[t]
-            if [row_x[v] for v in row_y] != [row_t[v] for v in row_x]:
-                return False
+        if [row_x[v] for row_y in table for v in row_y] != [
+            row_t[v] for row_t in [table[t] for t in row_x] for v in row_x
+        ]:
+            return False
     return True
 
 
@@ -251,8 +251,8 @@ def are_isomorphic(a: Magma, b: Magma) -> bool:
 def is_hom(f: FnMap, src: Magma, dst: Magma) -> bool:
     """f(x |> y) == f(x) |> f(y), with |> taken in src on the left and in
     dst on the right; f must map src's carrier into dst's."""
-    n = len(src)
-    return all(f[src[x][y]] == dst[f[x]][f[y]] for x in range(n) for y in range(n))
+    targets = [dst[fx] for fx in f]
+    return all([f[v] for v in row] == [t[w] for w in f] for row, t in zip(src, targets))
 
 
 def homomorphisms(src: Magma, dst: Magma) -> Iterable[FnMap]:

@@ -5,13 +5,15 @@ import pytest
 from fixtures import (
     SSS_NOT_STAR,
     STAR_NOT_STARSTAR,
+    all_rack_systems,
     dihedral_quandle,
     rack_homs,
     trivial_quandle,
 )
-from yaxl.constructions import validate_system
+from yaxl.constructions import semilattice_sum, validate_system
 from yaxl.plonka import (
     PlonkaSystem,
+    checked_sum,
     decompose,
     plonka_sum,
     roundtrip,
@@ -154,26 +156,27 @@ def test_three_point_semilattice_v_shape():
     assert table[1][3] == 0
 
 
-def test_each_system_is_checked_once(monkeypatch):
-    from yaxl import plonka
+def test_checked_sum_is_the_general_quasi_rack_structure():
+    # the closed forms checked_sum builds are what the generic
+    # relative-inverse computation finds on the sum's table
+    systems = 0
+    for p in all_rack_systems(3, 2):
+        assert checked_sum(p) == quasi_rack_structure(semilattice_sum(p))
+        systems += 1
+    assert systems == 368
 
-    calls = {"validate_system": 0, "quasi_rack_structure": 0}
-    for name in calls:
-        def counted(*args, _name=name, _f=getattr(plonka, name)):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(plonka, name, counted)
+
+def test_each_call_checks_the_system_afresh():
     d3, t1 = dihedral_quandle(3), trivial_quandle(1)
-    p = two_chain(t1, d3, (0, 0, 0))
-    plonka_sum(p)
-    assert all(sum_structure_check(p).values())
+    p = two_chain(d3, d3, (0, 1, 2))
+    assert plonka_sum(p) and all(sum_structure_check(p).values())
     assert solution_as_strong_semilattice(p)
-    assert calls == {"validate_system": 1, "quasi_rack_structure": 1}
-    # equal content, another object: checked again
-    assert plonka_sum(two_chain(t1, d3, (0, 0, 0))) == plonka_sum(p)
-    assert calls == {"validate_system": 3, "quasi_rack_structure": 3}
-    # an invalid system after a valid one still raises
+    # no verdict is kept: a gluing map edited after a check is seen
+    p.homs[(1, 0)] = (0, 0, 1)
+    for check in (plonka_sum, checked_sum, sum_structure_check, solution_as_strong_semilattice):
+        with pytest.raises(ValueError):
+            check(p)
+    # an invalid system checked after a valid one still raises
+    assert plonka_sum(two_chain(t1, d3, (0, 0, 0)))
     with pytest.raises(ValueError):
-        plonka_sum(two_chain(t1, d3, (0, 0)))
-    with pytest.raises(ValueError):
-        sum_structure_check(two_chain(d3, d3, (0, 0, 1)))
+        sum_structure_check(two_chain(t1, d3, (0, 0)))
