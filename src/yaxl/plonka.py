@@ -58,12 +58,11 @@ def checked_sum(p: PlonkaSystem) -> QuasiRack:
     validate_system(p, is_rack)
     table = semilattice_sum(p)
     off, fibers = p.offsets(), p.fibers
-    # the fibers are racks: invert each translation, a permutation
-    inverse = [[tuple(sorted(range(len(row)), key=row.__getitem__)) for row in f] for f in fibers]
     zero, inv = [], []
     for blocks in sum_blocks(p):
         zero.append(tuple([off[c] + v for c, u, h in blocks for v in h]))
-        inv.append(tuple([off[c] + inverse[c][u][v] for c, u, h in blocks for v in h]))
+        # invert the fiber translation (a permutation since fibers are racks)
+        inv.append(tuple([off[c] + fibers[c][u].index(v) for c, u, h in blocks for v in h]))
     assert is_left_shelf(table), "Plonka sum must be a quasi rack"
     # f i == z == i f and z f == f put f in the group of z (then z z == z
     # and f z == f); i z == i puts i there, as the inverse of f

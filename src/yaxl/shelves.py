@@ -251,8 +251,8 @@ def are_isomorphic(a: Magma, b: Magma) -> bool:
 def is_hom(f: FnMap, src: Magma, dst: Magma) -> bool:
     """f(x |> y) == f(x) |> f(y), with |> taken in src on the left and in
     dst on the right; f must map src's carrier into dst's."""
-    targets = [dst[fx] for fx in f]
-    return all([f[v] for v in row] == [t[w] for w in f] for row, t in zip(src, targets))
+    n = len(src)
+    return all(f[src[x][y]] == dst[f[x]][f[y]] for x in range(n) for y in range(n))
 
 
 def homomorphisms(src: Magma, dst: Magma) -> Iterable[FnMap]:

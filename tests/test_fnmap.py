@@ -15,6 +15,7 @@ from yaxl.fnmap import (
     is_permutation,
     power,
     relative_inverse,
+    zeros_multiplicative,
 )
 
 
@@ -127,5 +128,31 @@ def test_compose_associative(f, g, h):
 
 @given(st.lists(maps(3), max_size=4), st.lists(maps(3), max_size=4))
 def test_idempotents_central_checks_every_pair(zeros, family):
-    expected = all(commutes(z, f) for z in zeros for f in family)
+    expected = all(comp(z, f) == comp(f, z) for z in zeros for f in family)
     assert idempotents_central(zeros, family) == expected
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(maps(n), maps(n))))
+def test_commutes_matches_oracle(fg):
+    f, g = fg
+    assert commutes(f, g) == (comp(f, g) == comp(g, f))
+
+
+@st.composite
+def families_with_zeros(draw):
+    """n maps and n zeros drawn from a pool of at most 3, so zeros repeat."""
+    n = draw(st.integers(1, 5))
+    family = draw(st.lists(maps(n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # the identity and a constant map: the identity holds more often
+        pool = [identity(n), tuple([0] * n)]
+    else:
+        pool = draw(st.lists(maps(n), min_size=1, max_size=3))
+    return family, tuple(draw(st.sampled_from(pool)) for _ in range(n))
+
+
+@given(families_with_zeros())
+def test_zeros_multiplicative_matches_oracle(fz):
+    family, zero = fz
+    expected = all(zero[t] == comp(zero[x], zero[y]) for x, fx in enumerate(family) for y, t in enumerate(fx))
+    assert zeros_multiplicative(family, zero) == expected

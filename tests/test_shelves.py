@@ -3,8 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import DS_NO_CONDITIONS, SSS_NOT_STAR, STAR_NOT_STARSTAR, dihedral_quandle, trivial_quandle
-from oracles import is_self_distributive, naive_canonical_form, naive_is_quasi_rack
+from fixtures import (
+    DS_NO_CONDITIONS,
+    SSS_NOT_STAR,
+    STAR_NOT_STARSTAR,
+    dihedral_quandle,
+    rack_homs,
+    trivial_quandle,
+)
+from oracles import comp, is_self_distributive, naive_canonical_form, naive_is_quasi_rack
 from yaxl.fnmap import compose, identity
 from yaxl.shelves import (
     are_isomorphic,
@@ -15,6 +22,7 @@ from yaxl.shelves import (
     derived_map,
     derived_relative_inverse,
     endomorphisms,
+    homomorphisms,
     is_canonical,
     is_left_shelf,
     is_quandle,
@@ -184,7 +192,11 @@ def test_kernels_match_oracles_on_every_table_n3():
     rows = list(itertools.product(range(3), repeat=3))
     for table in itertools.product(rows, repeat=3):
         assert is_left_shelf(table) == is_self_distributive(table)
-        assert (quasi_rack_structure(table) is not None) == naive_is_quasi_rack(table)
+        q = quasi_rack_structure(table)
+        assert (q is not None) == naive_is_quasi_rack(table)
+        if q is not None:
+            z = q.L_zero
+            assert check_star(q) == all(z[t] == comp(z[x], z[y]) for x, row in enumerate(table) for y, t in enumerate(row))
 
 
 @st.composite
@@ -203,3 +215,11 @@ def tables_4_to_6(draw):
 @given(tables_4_to_6())
 def test_is_left_shelf_matches_oracle_n4_to_6(table):
     assert is_left_shelf(table) == is_self_distributive(table)
+
+
+def test_homomorphisms_match_the_naive_filter():
+    # is_hom decides homomorphisms; rack_homs is the pairwise definition
+    tables = [trivial_quandle(1), trivial_quandle(2), dihedral_quandle(3), DS_NO_CONDITIONS, ((0, 0), (1, 1))]
+    for src in tables:
+        for dst in tables:
+            assert list(homomorphisms(src, dst)) == rack_homs(src, dst)
