@@ -63,16 +63,10 @@ def _print_report(args, report: dict) -> None:
         print(json.dumps(report, default=str))
 
 
-def _load_magma(text: str):
-    if text.lstrip().startswith("{"):
-        return serialization.magma_from_json(text)
-    return serialization.magma_from_text(text)
-
-
-def _load_solution(text: str):
-    if text.lstrip().startswith("{"):
-        return serialization.solution_from_json(text)
-    return serialization.solution_from_text(text)
+def _load(kind: str, text: str):
+    """Read a ``kind`` ("magma" or "solution") in JSON or text format."""
+    fmt = "json" if text.lstrip().startswith("{") else "text"
+    return getattr(serialization, f"{kind}_from_{fmt}")(text)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +84,9 @@ def _check_shelf(table) -> dict:
     if q is None:
         return report
     report["quasi_quandle"] = shelves.is_quasi_quandle(q)
-    report["star"] = shelves.check_star(q)
-    report["starstar"] = shelves.check_starstar(q)
-    report["starstarstar"] = shelves.check_starstarstar(q)
-    d = shelves.derived_map(q)
-    report["derived_is_solution"] = solutions.is_solution(d)
+    report.update(enumeration.quasi_rack_profile(q))
     if report["derived_is_solution"]:
+        d = shelves.derived_map(q)
         report["derived_quasi_bijective"] = solutions.quasi_bijective(d) is not None
     return report
 
@@ -129,13 +120,13 @@ def _check_solution(s) -> dict:
 def cmd_check(args) -> int:
     text = _read(args.path)
     if args.kind == "shelf":
-        report = _check_shelf(_load_magma(text))
+        report = _check_shelf(_load("magma", text))
         ok = report["left_shelf"]
     elif args.kind == "solution":
-        report = _check_solution(_load_solution(text))
+        report = _check_solution(_load("solution", text))
         ok = report["solution"]
     elif args.kind == "clifford":
-        table = _load_magma(text)
+        table = _load("magma", text)
         report = {
             "inverse_semigroup": constructions.is_inverse_semigroup(table),
             "clifford": constructions.is_clifford(table),
@@ -209,7 +200,7 @@ def cmd_table1(args) -> int:
 
 def cmd_derive(args) -> int:
     text = _read(args.path)
-    table = _load_magma(text)
+    table = _load("magma", text)
     q = shelves.quasi_rack_structure(table)
     if q is None:
         print("input is not a quasi rack", file=sys.stderr)
@@ -228,7 +219,7 @@ def cmd_construct(args) -> int:
         sys_ = serialization.system_from_json(text)
         table = constructions.clifford_from_system(sys_).mul
     elif args.what in ("conjugation", "core", "deformed"):
-        c = constructions.clifford_table(_load_magma(text))
+        c = constructions.clifford_table(_load("magma", text))
         if args.what == "conjugation":
             table = constructions.conjugation_quasi_quandle(c)
         elif args.what == "core":
@@ -249,7 +240,7 @@ def cmd_construct(args) -> int:
 
 def cmd_decompose(args) -> int:
     text = _read(args.path)
-    table = _load_magma(text)
+    table = _load("magma", text)
     q = shelves.quasi_rack_structure(table)
     if q is None or not (shelves.check_star(q) and shelves.check_starstarstar(q)):
         print("decomposition requires a quasi rack with (*) and (***)", file=sys.stderr)
@@ -264,7 +255,7 @@ def cmd_twist(args) -> int:
     text = _read(args.path)
     prov = _provenance(text.encode())
     if args.extract:
-        s = _load_solution(text)
+        s = _load("solution", text)
         t = twists.twist_from_solution(s)
         _emit(args, serialization.twist_to_json(t), prov, text=False)
         return 0
@@ -279,14 +270,10 @@ def cmd_twist(args) -> int:
 def cmd_search(args) -> int:
     fn = enumeration.search_question1 if args.question == 1 else enumeration.search_question2
     report = fn(args.n, seed=args.seed, samples=args.samples)
-    out = json.dumps(report, default=list)
     if args.output:
-        obj = json.loads(out)
-        obj["_provenance"] = _provenance(b"", seed=args.seed)
-        with open(args.output, "w") as f:
-            json.dump(obj, f)
+        _emit(args, json.dumps(report), _provenance(b"", seed=args.seed), text=False)
     else:
-        print(out)
+        _print_report(args, report)
     return 0
 
 

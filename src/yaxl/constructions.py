@@ -18,7 +18,6 @@ from typing import Iterator, Optional
 from .fnmap import FnMap, compose, idempotents_central, is_completely_regular, relative_inverse
 from .shelves import (
     Magma,
-    QuasiRack,
     homomorphisms,
     is_hom,
     is_quasi_quandle,
@@ -222,21 +221,19 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
     for k, f in enumerate(sys.fibers):
         if not fiber_ok(validate_table(f)):
             raise ValueError(f"fiber {k} fails {fiber_ok.__name__}")
-    m = sys.points
-    for a, b in itertools.product(range(m), repeat=2):
-        if semilattice_geq(sys.meet, a, b) and (a, b) not in sys.homs:
-            raise ValueError(f"phi[{(a, b)}] is missing")
-    for a in range(m):
-        if sys.homs[(a, a)] != tuple(range(len(sys.fibers[a]))):
+    span = range(sys.points)
+    pairs = [(a, b) for a in span for b in span if semilattice_geq(sys.meet, a, b)]
+    for pair in pairs:
+        if pair not in sys.homs:
+            raise ValueError(f"phi[{pair}] is missing")
+    for a, b in pairs:
+        f, src, dst = sys.homs[(a, b)], sys.fibers[a], sys.fibers[b]
+        if a == b and f != tuple(range(len(src))):
             raise ValueError("phi[(a, a)] must be the identity")
-        for b in range(m):
-            if not semilattice_geq(sys.meet, a, b):
-                continue
-            f, src, dst = sys.homs[(a, b)], sys.fibers[a], sys.fibers[b]
-            if len(f) != len(src) or any(type(v) is not int or not 0 <= v < len(dst) for v in f):
-                raise ValueError(f"phi[{(a, b)}] has the wrong shape")
-            if not is_hom(f, src, dst):
-                raise ValueError(f"phi[{(a, b)}] is not a homomorphism")
+        if len(f) != len(src) or any(type(v) is not int or not 0 <= v < len(dst) for v in f):
+            raise ValueError(f"phi[{(a, b)}] has the wrong shape")
+        if not is_hom(f, src, dst):
+            raise ValueError(f"phi[{(a, b)}] is not a homomorphism")
     if not _gluing_composes(sys.meet, sys.homs):
         raise ValueError("gluing homomorphisms do not compose")
 

@@ -39,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .fnmap import commutes, is_completely_regular, is_permutation, relative_inverse
 from .shelves import (
+    QuasiRack,
     check_star,
     check_starstar,
     check_starstarstar,
@@ -47,16 +48,7 @@ from .shelves import (
     is_rack,
     quasi_rack_structure,
 )
-from .solutions import (
-    Solution,
-    check_A,
-    check_B,
-    check_C,
-    is_solution,
-    quasi_bijective,
-    quasi_left_nondeg,
-    structure_magma,
-)
+from .solutions import Solution, abc_family, is_solution, quasi_bijective, structure_magma
 
 CLASSES = ("shelf", "rack", "quandle", "quasi_rack", "quasi_quandle")
 FILTERS = ("star", "starstar", "starstarstar", "derived_is_solution")
@@ -192,20 +184,25 @@ def _search_labeled(n: int, klass: str, first_rows=None):
     yield from _place(maps, row_masks, compat, place_ok, forced)
 
 
+def quasi_rack_profile(q: QuasiRack) -> dict:
+    """The Table 1 flags of a quasi rack, keyed by the ``FILTERS`` names
+    in their order: (*), (**), (***) and whether the derived map is a
+    solution."""
+    return {
+        "star": check_star(q),
+        "starstar": check_starstar(q),
+        "starstarstar": check_starstarstar(q),
+        "derived_is_solution": is_solution(derived_map(q)),
+    }
+
+
 def _passes_filters(table, filters) -> bool:
     if not filters:
         return True
     q = quasi_rack_structure(table)
     assert q is not None
-    if "star" in filters and not check_star(q):
-        return False
-    if "starstar" in filters and not check_starstar(q):
-        return False
-    if "starstarstar" in filters and not check_starstarstar(q):
-        return False
-    if "derived_is_solution" in filters and not is_solution(derived_map(q)):
-        return False
-    return True
+    profile = quasi_rack_profile(q)
+    return all(profile[f] for f in filters)
 
 
 def _worker(args):
@@ -264,12 +261,10 @@ def cross_tabulate(n: int, workers: int = 1) -> dict:
         "ds_minus_star_or_starstar": 0,
     }
     for table in enumerate_canonical(n, "quasi_rack", workers=workers):
-        q = quasi_rack_structure(table)
+        st, ss, sss, ds = quasi_rack_profile(quasi_rack_structure(table)).values()
         counts["qr"] += 1
         if is_rack(table):
             counts["r"] += 1
-        ds = is_solution(derived_map(q))
-        st, ss, sss = check_star(q), check_starstar(q), check_starstarstar(q)
         counts["ds"] += ds
         counts["qr_star"] += st
         counts["qr_starstar"] += ss
@@ -304,12 +299,25 @@ _STATUS = (
 )
 
 
-def _note(n: int, exhaustive: bool, checked: int, candidates: list) -> str:
+def _report(question: str, n: int, exhaustive: bool, seed, counted: str, checked: int,
+            candidates: list) -> dict:
+    """A search report; ``counted`` names the count of structures checked."""
     if candidates:
-        return "counterexample candidates listed above"
-    if not exhaustive and checked == 0:
-        return f"no sample met the hypotheses at size {n}; the question remains open"
-    return f"no counterexample found at size {n}; the question remains open"
+        note = "counterexample candidates listed above"
+    elif not exhaustive and checked == 0:
+        note = f"no sample met the hypotheses at size {n}; the question remains open"
+    else:
+        note = f"no counterexample found at size {n}; the question remains open"
+    return {
+        "question": question,
+        "status": _STATUS,
+        "n": n,
+        "exhaustive": exhaustive,
+        "seed": seed,
+        counted: checked,
+        "candidates": [(s.lam, s.rho) for s in candidates],
+        "note": note,
+    }
 
 
 def _quasi_families(n: int, cands):
@@ -435,16 +443,10 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
                 continue
             if quasi_bijective(s) is None:
                 candidates.append(s)
-    return {
-        "question": "is every quasi non-degenerate solution quasi bijective?",
-        "status": _STATUS,
-        "n": n,
-        "exhaustive": exhaustive,
-        "seed": seed,
-        "pairs_checked": checked,
-        "candidates": [(s.lam, s.rho) for s in candidates],
-        "note": _note(n, exhaustive, checked, candidates),
-    }
+    return _report(
+        "is every quasi non-degenerate solution quasi bijective?",
+        n, exhaustive, seed, "pairs_checked", checked, candidates,
+    )
 
 
 def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
@@ -478,14 +480,8 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
 
     def consider(s: Solution):
         nonlocal checked
-        if not is_solution(s):
-            return
-        d = quasi_left_nondeg(s)
-        if d is None:
-            return
-        if not (check_A(s, d) and check_B(s, d) and check_C(s, d)):
-            return
-        if quasi_bijective(s) is None:
+        d = abc_family(s)
+        if d is None or quasi_bijective(s) is None:
             return
         checked += 1
         if quasi_rack_structure(structure_magma(s, d)) is None:
@@ -521,16 +517,8 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
             lam = tuple(f for f, _ in (rng.choice(cr) for _ in range(n)))
             rho = tuple(rng.choice(all_maps) for _ in range(n))
             consider(Solution(lam=lam, rho=rho))
-    return {
-        "question": (
-            "is the structure magma of every quasi bijective, quasi left "
-            "non-degenerate solution with (A), (B), (C) a quasi rack?"
-        ),
-        "status": _STATUS,
-        "n": n,
-        "exhaustive": exhaustive,
-        "seed": seed,
-        "solutions_meeting_hypotheses": checked,
-        "candidates": [(s.lam, s.rho) for s in candidates],
-        "note": _note(n, exhaustive, checked, candidates),
-    }
+    return _report(
+        "is the structure magma of every quasi bijective, quasi left "
+        "non-degenerate solution with (A), (B), (C) a quasi rack?",
+        n, exhaustive, seed, "solutions_meeting_hypotheses", checked, candidates,
+    )

@@ -68,11 +68,11 @@ def pair_map(s: Solution) -> FnMap:
 
 
 def from_pair_map(r: FnMap, n: int) -> Solution:
-    """Decode a pair-set transformation of product form back into tables.
+    """Decode a pair-set transformation back into tables.
 
-    Raises if r is not of the form (x, y) -> (f(x, y), g(x, y)) with
-    f depending only on (x, y) -- which is always true -- i.e. any pair
-    map decodes; the product encoding is bit-exact and reversible.
+    Every map of the n*n pair set decodes, since the product encoding is
+    bit-exact and reversible; raises ValueError only if r does not have
+    n*n entries.
     """
     if len(r) != n * n:
         raise ValueError("pair map has wrong carrier size")
@@ -190,14 +190,23 @@ def structure_magma(s: Solution, d: RegularFamily) -> Magma:
     )
 
 
-def derived_shelf(s: Solution, d: Optional[RegularFamily] = None) -> Magma:
+def abc_family(s: Solution) -> Optional[RegularFamily]:
+    """The lambda family of s if s satisfies the braid identity, is quasi
+    left non-degenerate and satisfies (A), (B) and (C), checked in that
+    order; otherwise None."""
+    if not is_solution(s):
+        return None
+    d = quasi_left_nondeg(s)
+    if d is None or not (check_A(s, d) and check_B(s, d) and check_C(s, d)):
+        return None
+    return d
+
+
+def derived_shelf(s: Solution) -> Magma:
     """The structure magma under conditions (A), (B), (C), asserted a shelf."""
+    d = abc_family(s)
     if d is None:
-        d = quasi_left_nondeg(s)
-    if d is None:
-        raise ValueError("solution is not quasi left non-degenerate")
-    if not (check_A(s, d) and check_B(s, d) and check_C(s, d)):
-        raise ValueError("conditions (A), (B), (C) do not all hold")
+        raise ValueError("not a quasi left non-degenerate solution with (A), (B), (C)")
     table = structure_magma(s, d)
     if not is_left_shelf(table):
         raise AssertionError("structure magma failed self-distributivity under (A)-(C)")

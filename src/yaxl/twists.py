@@ -9,25 +9,10 @@ reuses them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .fnmap import (
-    RegularFamily,
-    compose,
-    idempotents_central,
-    relative_inverse,
-    zeros_multiplicative,
-)
+from .fnmap import compose, idempotents_central, relative_inverse, zeros_multiplicative
 from .shelves import Magma, is_hom, is_left_shelf, validate_table
-from .solutions import (
-    Solution,
-    check_A,
-    check_B,
-    check_C,
-    is_solution,
-    quasi_left_nondeg,
-    structure_magma,
-)
+from .solutions import Solution, abc_family, derived_shelf
 
 
 @dataclass(frozen=True)
@@ -131,10 +116,7 @@ def solution_from_twist(t: TwistFamily) -> Solution:
     if not phi_idempotents_central(t):
         raise ValueError("phi idempotents are not central in the family")
     s = _twist_map(t)
-    if not is_solution(s):
-        raise AssertionError("g-twist map failed the braid identity")
-    d = quasi_left_nondeg(s)
-    if d is None or not (check_A(s, d) and check_B(s, d) and check_C(s, d)):
+    if abc_family(s) is None:
         raise AssertionError("g-twist map is not a quasi-lnd (A)(B)(C) solution")
     return s
 
@@ -163,23 +145,10 @@ def twist_theorem_roundtrip(t: TwistFamily) -> bool:
     """
     if not (l0_com_holds(t) and phi_idempotents_central(t)):
         return True
-    s = _twist_map(t)
-    rhs = twisted_composition_holds(t)
-    if not is_solution(s):
-        lhs = False
-    else:
-        d = quasi_left_nondeg(s)
-        lhs = d is not None and check_A(s, d) and check_B(s, d) and check_C(s, d)
-    return lhs == rhs
+    return (abc_family(_twist_map(t)) is not None) == twisted_composition_holds(t)
 
 
-def twist_from_solution(s: Solution, d: Optional[RegularFamily] = None) -> TwistFamily:
+def twist_from_solution(s: Solution) -> TwistFamily:
     """Extract the twist presentation of a quasi-lnd (A)(B)(C) solution:
     the lambda family over its structure magma."""
-    if d is None:
-        d = quasi_left_nondeg(s)
-    if d is None:
-        raise ValueError("solution is not quasi left non-degenerate")
-    if not (check_A(s, d) and check_B(s, d) and check_C(s, d)):
-        raise ValueError("conditions (A), (B), (C) do not all hold")
-    return make_twist_family(structure_magma(s, d), s.lam)
+    return make_twist_family(derived_shelf(s), s.lam)

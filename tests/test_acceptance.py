@@ -209,7 +209,7 @@ def test_twist_suite():
             abc_fixtures.append((s, d))
             from yaxl.solutions import derived_shelf
 
-            derived_shelf(s, d)  # raises if the structure magma is not a shelf
+            derived_shelf(s)  # raises if the structure magma is not a shelf
     assert abc_fixtures
     # randomized twist families, 10^4 seeded samples per carrier size
     rnd = random.Random(12345)

@@ -432,6 +432,36 @@ def test_twist_apply_and_extract(tmp_path, capsys):
     assert data["phi"] == [list(r) for r in s.lam]
 
 
+# quasi left non-degenerate with (A), (B), (C) but not solutions; the
+# second one's structure magma is not a shelf
+@pytest.mark.parametrize("lam, rho", [
+    ([[0, 0], [0, 1]], [[0, 0], [0, 0]]),
+    ([[0, 1], [0, 1]], [[0, 0], [1, 0]]),
+])
+def test_twist_extract_refuses_non_solutions(tmp_path, capsys, lam, rho):
+    path = write(tmp_path, "s.json", json.dumps({"n": 2, "lambda": lam, "rho": rho}))
+    assert main(["check", "solution", path]) == 1
+    capsys.readouterr()
+    assert main(["twist", "--extract", path, "-o", str(tmp_path / "t.json")]) == 2
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_search_artifact(tmp_path, capsys):
+    argv = ["search", "--question", "2", "--n", "4", "--seed", "5", "--samples", "20"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "q2.json"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    data = json.loads(text)
+    assert data.pop("_provenance")["seed"] == 5
+    assert data == json.loads(printed)
+    assert printed == json.dumps(data) + "\n"
+
+
 def test_search_commands(tmp_path, capsys):
     out = str(tmp_path / "q1.json")
     assert main(["search", "--question", "1", "--n", "2", "-o", out]) == 0

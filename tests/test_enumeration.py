@@ -13,6 +13,8 @@ from oracles import (
 from yaxl import enumeration
 from yaxl.enumeration import (
     CLASSES,
+    FILTERS,
+    TABLE1_COLUMNS,
     cross_tabulate,
     enumerate_canonical,
     search_question1,
@@ -24,6 +26,7 @@ from yaxl.enumeration import (
     _quasi_families,
     _regular_candidates,
     _search_labeled,
+    quasi_rack_profile,
 )
 from yaxl.shelves import canonical_form, is_canonical, is_quandle, quasi_rack_structure
 from yaxl.solutions import Solution, is_solution
@@ -82,6 +85,27 @@ def test_filters():
         enumerate_canonical(3, "rack", filters=("star",))
 
 
+# each filter selects the quasi racks of one Table 1 column
+_FILTER_COLUMNS = {
+    "star": "qr_star",
+    "starstar": "qr_starstar",
+    "starstarstar": "qr_starstarstar",
+    "derived_is_solution": "ds",
+}
+
+
+def test_profile_keys_are_the_filters():
+    q = quasi_rack_structure(enumerate_canonical(3, "quasi_rack")[0])
+    assert tuple(quasi_rack_profile(q)) == FILTERS == tuple(_FILTER_COLUMNS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_filter_counts_its_table1_column(n):
+    for f, column in _FILTER_COLUMNS.items():
+        expected = TABLE1_EXPECTED[n][TABLE1_COLUMNS.index(column)]
+        assert len(enumerate_canonical(n, "quasi_rack", [f])) == expected, f
+
+
 def test_workers_agree():
     for klass in CLASSES:
         assert enumerate_canonical(3, klass, workers=2) == enumerate_canonical(3, klass)
@@ -119,7 +143,8 @@ def test_table1_rows():
 def test_cross_tabulate_consistency():
     c = cross_tabulate(3)
     assert c["qr"] == 31 and c["r"] == 6
-    # (***) implies (**), so the difference cell is empty
+    # observed at every n <= 4, not a theorem: no quasi rack has (***)
+    # without (**)
     assert c["starstarstar_minus_starstar"] == 0
     assert c["star_and_starstarstar"] <= min(c["qr_star"], c["qr_starstarstar"])
     with pytest.raises(ValueError):

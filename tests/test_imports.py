@@ -1,0 +1,32 @@
+"""Every name a ``yaxl`` module imports at top level is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "yaxl").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Top-level imported names that the module never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_the_gate_flags_an_unused_import():
+    assert unused_imports("import os\nfrom a import b, c as d\nprint(d)\n") == ["os", "b"]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(path.read_text()) == []

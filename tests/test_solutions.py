@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from fixtures import SSS_NOT_STAR, dihedral_quandle, trivial_quandle
 from oracles import naive_component_identities
 from yaxl.fnmap import compose, identity, relative_inverse
-from yaxl.shelves import derived_map, quasi_rack_structure
+from yaxl.shelves import derived_map, is_left_shelf, quasi_rack_structure
 from yaxl.solutions import (
     Solution,
     _braid_holds,
+    abc_family,
     check_A,
     check_B,
     check_C,
@@ -138,6 +139,35 @@ def test_derived_shelf_rejects_bad_input():
     if d is not None and not (check_A(s, d) and check_B(s, d) and check_C(s, d)):
         with pytest.raises(ValueError):
             derived_shelf(s)
+
+
+def _all_pairs(n):
+    tables = list(itertools.product(itertools.product(range(n), repeat=n), repeat=n))
+    return [Solution(lam=lam, rho=rho) for lam in tables for rho in tables]
+
+
+def test_abc_family_admits_only_solutions_n2():
+    # 52 of the 256 pairs are quasi left non-degenerate with (A), (B), (C)
+    # but fail the braid identity; the gate refuses them
+    admitted = [s for s in _all_pairs(2) if abc_family(s) is not None]
+    assert len(admitted) == 18
+    assert all(is_solution(s) for s in admitted)
+    for s in admitted:
+        d = quasi_left_nondeg(s)
+        assert abc_family(s) == d and check_A(s, d) and check_B(s, d) and check_C(s, d)
+
+
+def test_derived_shelf_returns_a_shelf_or_refuses_n2():
+    shelves = 0
+    for s in _all_pairs(2):
+        try:
+            table = derived_shelf(s)
+        except ValueError:
+            assert abc_family(s) is None
+            continue
+        assert is_left_shelf(table)
+        shelves += 1
+    assert shelves == 18
 
 
 def test_section3_identities_on_derived_maps():
