@@ -147,14 +147,15 @@ def _all_pairs(n):
 
 
 def test_abc_family_admits_only_solutions_n2():
-    # 52 of the 256 pairs are quasi left non-degenerate with (A), (B), (C)
-    # but fail the braid identity; the gate refuses them
-    admitted = [s for s in _all_pairs(2) if abc_family(s) is not None]
-    assert len(admitted) == 18
-    assert all(is_solution(s) for s in admitted)
-    for s in admitted:
-        d = quasi_left_nondeg(s)
-        assert abc_family(s) == d and check_A(s, d) and check_B(s, d) and check_C(s, d)
+    # 70 of the 256 pairs are quasi left non-degenerate with (A), (B), (C);
+    # 52 of them fail the braid identity, and the gate refuses those
+    pairs = _all_pairs(2)
+    abc = [s for s in pairs if (d := quasi_left_nondeg(s)) is not None
+           and check_A(s, d) and check_B(s, d) and check_C(s, d)]
+    admitted = [s for s in pairs if abc_family(s) is not None]
+    assert len(abc) == 70 and len(admitted) == 18
+    assert admitted == [s for s in abc if is_solution(s)]
+    assert all(abc_family(s) == quasi_left_nondeg(s) for s in admitted)
 
 
 def test_derived_shelf_returns_a_shelf_or_refuses_n2():
