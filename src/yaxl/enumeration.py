@@ -21,9 +21,14 @@ that this check, or the class axioms, would reject:
   candidates, so it is precomputed as one bitmask of compatible
   candidates per candidate, and the search carries the intersection of
   the masks of the placed rows;
-- when a placed row L_x is a bijection and L_x(y) = k for a placed y,
-  self-distributivity forces L_k = L_x L_y L_x^-1, and only that
-  candidate is tried.
+- every pair L_x L_y = L_{L_x(y)} L_x with x < k whose rows are all
+  placed once L_k is restricts the candidates f for L_k, and only those
+  meeting every such pair are tried.  With ``at[v][a]`` the bitmask of
+  candidates f with f(v) = a: a placed y with L_x(y) = k asks
+  f L_x = L_x L_y, which fixes f on the image of L_x; t = L_x(k) < k
+  asks L_x f = L_t L_x, which puts f(v) among the preimages of
+  L_t L_x(v) under L_x; and L_x(k) = k asks that f commute with L_x.
+  When L_x is a bijection either of the first two leaves one candidate.
 
 Isomorphism rejection keeps a labeled table only if no relabeling is
 lexicographically smaller (``shelves.is_canonical``, which stops at the
@@ -33,11 +38,12 @@ canonical form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 
-from .fnmap import commutes, is_completely_regular, is_permutation, relative_inverse
+from .fnmap import commutes, is_completely_regular, relative_inverse
 from .shelves import (
     QuasiRack,
     check_star,
@@ -152,9 +158,23 @@ def _search_labeled(n: int, klass: str, first_rows=None):
         row_cands[0] = [row_cands[0][i] for i in first_rows]
     row_masks = [sum(1 << i for i in c) for c in row_cands]
     compat = _compat_masks(base) if klass in _QUASI else None
-    index = {f: i for i, f in enumerate(maps)}
-    inverses = {f: relative_inverse(f).inv for f in maps if is_permutation(f)}
     span = range(n)
+    at = [[0] * n for _ in span]  # at[v][a]: the candidates f with f(v) = a
+    for i, f in enumerate(maps):
+        for v, a in enumerate(f):
+            at[v][a] |= 1 << i
+
+    @functools.cache  # once per distinct placed row m
+    def masks_of(m):
+        # pre[v][b]: the candidates f with m(f(v)) = b
+        pre = [[0] * n for _ in span]
+        for v in span:
+            for a in span:
+                pre[v][m[a]] |= at[v][a]
+        commuting = -1  # the candidates f with f m = m f
+        for v in span:
+            commuting &= sum(at[m[v]][b] & pre[v][b] for b in span)
+        return pre, commuting
 
     def place_ok(rows, k: int) -> bool:
         for x in range(k + 1):
@@ -172,14 +192,26 @@ def _search_labeled(n: int, klass: str, first_rows=None):
         return True
 
     def forced(rows, k: int):
-        # L_x L_y = L_k L_x with L_x invertible fixes L_k.
+        # The candidates f = L_k that meet every pair (x, y) with x < k
+        # whose rows are placed once L_k is.
+        only = -1
         for x in range(k):
-            inv = inverses.get(rows[x])
-            if inv is not None and inv[k] < k:
-                mx, my = rows[x], rows[inv[k]]
-                i = index.get(tuple(mx[my[v]] for v in inv))
-                return 0 if i is None else 1 << i
-        return None
+            mx = rows[x]
+            t = mx[k]
+            if t < k:  # L_x f = L_t L_x
+                pre, mt = masks_of(mx)[0], rows[t]
+                for v in span:
+                    only &= pre[v][mt[mx[v]]]
+            elif t == k:  # L_x f = f L_x
+                only &= masks_of(mx)[1]
+            for y in range(k):
+                if mx[y] == k:  # L_x L_y = f L_x
+                    my = rows[y]
+                    for v in span:
+                        only &= at[mx[v]][mx[my[v]]]
+            if not only:
+                return 0
+        return only
 
     yield from _place(maps, row_masks, compat, place_ok, forced)
 

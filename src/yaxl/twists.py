@@ -37,6 +37,12 @@ def make_twist_family(table: Magma, phi) -> TwistFamily:
         raise ValueError("need one map per carrier element")
     if not is_left_shelf(table):
         raise ValueError("base table is not a left shelf")
+    return _cache_family(table, phi)
+
+
+def _cache_family(table: Magma, phi) -> TwistFamily:
+    """The family over a left shelf, once each phi_a is checked to be an
+    endomorphism and completely regular."""
     invs, zeros = [], []
     for p in phi:
         if not is_hom(p, table, table):
@@ -150,5 +156,6 @@ def twist_theorem_roundtrip(t: TwistFamily) -> bool:
 
 def twist_from_solution(s: Solution) -> TwistFamily:
     """Extract the twist presentation of a quasi-lnd (A)(B)(C) solution:
-    the lambda family over its structure magma."""
-    return make_twist_family(derived_shelf(s), s.lam)
+    the lambda family over its structure magma, which ``derived_shelf``
+    has already checked to be a left shelf."""
+    return _cache_family(derived_shelf(s), validate_table(s.lam))

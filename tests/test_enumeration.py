@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import factorial
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import (
     naive_automorphism_count,
+    naive_class_tables,
     naive_quasi_families,
     naive_question1,
     naive_question2,
@@ -228,20 +230,36 @@ def test_place_without_checks_is_the_product_of_the_rows(n):
         assert list(_place(maps, row_masks)) == expected
 
 
-# Labeled tables yielded by the backtracker, pinned before the search was
-# pruned; the pruning may drop no table and add none.
+# Labeled tables yielded by the backtracker and the SHA-256 of the repr
+# of their list, pinned before the search was pruned: a pruning may drop
+# no table, add none and reorder none (the --workers chunks and every
+# stream follow this order).
 LABELED_COUNTS = {
-    (3, "shelf"): 224,
-    (4, "quasi_rack"): 5878,
-    (4, "quasi_quandle"): 1008,
-    (5, "rack"): 1708,
-    (5, "quandle"): 404,
+    (3, "shelf"): (224, "e228739ebfe10c0328eb1f95b0d09dc3e84fc5be3e86ca3c4672054360b9775b"),
+    (4, "quasi_rack"): (5878, "35b8538c86420544afd020d1b3cf180c856719f97621c9544201cea10be7c73c"),
+    (4, "quasi_quandle"): (
+        1008, "100ba31a47b26e3a4ce8490d5bc5b143f023fb22009be852a8d2e34a781a1c58"),
+    (5, "rack"): (1708, "9e8aa589336b71adce378cdf5e18cd6f29608932f0dff3ac11ec54584348afd4"),
+    (5, "quandle"): (404, "cf80149e217f7c2d1a630decd0c972bca5b6b0b70f81f91e3a7fdbf0d4214b50"),
 }
 
 
 @pytest.mark.parametrize("n, klass", sorted(LABELED_COUNTS))
 def test_labeled_counts(n, klass):
-    assert sum(1 for _ in _search_labeled(n, klass)) == LABELED_COUNTS[n, klass]
+    tables = list(_search_labeled(n, klass))
+    count, digest = LABELED_COUNTS[n, klass]
+    assert len(tables) == count
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, klass", [(n, k) for n in (1, 2, 3) for k in CLASSES])
+def test_labeled_stream_is_the_naive_filter_in_order(n, klass):
+    assert list(_search_labeled(n, klass)) == list(naive_class_tables(n, klass))
+
+
+def test_quandles_of_order_6():
+    # the published count of quandles of order 6 (OEIS A181769)
+    assert len(enumerate_canonical(6, "quandle", override=True)) == 73
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,21 @@ def test_twist_extraction_roundtrip():
     assert solution_from_twist(t) == s
 
 
+def test_twist_extraction_checks_the_shelf_once(monkeypatch):
+    from yaxl import shelves, solutions, twists
+
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return shelves.is_left_shelf(table)
+
+    monkeypatch.setattr(solutions, "is_left_shelf", counted)
+    monkeypatch.setattr(twists, "is_left_shelf", counted)
+    twist_from_solution(derived_map(quasi_rack_structure(dihedral_quandle(3))))
+    assert len(calls) == 1
+
+
 def test_twist_from_solution_rejects():
     # flip fails nothing; use a degenerate table failing quasi-lnd
     from yaxl.solutions import Solution
