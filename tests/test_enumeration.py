@@ -230,10 +230,11 @@ def test_place_without_checks_is_the_product_of_the_rows(n):
         assert list(_place(maps, row_masks)) == expected
 
 
-# Labeled tables yielded by the backtracker and the SHA-256 of the repr
-# of their list, pinned before the search was pruned: a pruning may drop
-# no table, add none and reorder none (the --workers chunks and every
-# stream follow this order).
+# Labeled tables yielded by the backtracker, counted before the search
+# was pruned, and the SHA-256 of the repr of their list, taken before
+# the forced rows covered every pair the placed rows fix: a pruning may
+# drop no table, add none and reorder none (the --workers chunks and
+# every stream follow this order).
 LABELED_COUNTS = {
     (3, "shelf"): (224, "e228739ebfe10c0328eb1f95b0d09dc3e84fc5be3e86ca3c4672054360b9775b"),
     (4, "quasi_rack"): (5878, "35b8538c86420544afd020d1b3cf180c856719f97621c9544201cea10be7c73c"),
