@@ -11,11 +11,11 @@ rho tables of the second open-question search.
 
 The labeled search places left-translation rows.  Candidate rows are
 permutations (rack/quandle), completely regular maps (quasi classes) or
-arbitrary maps (shelf), indexed once per search.  After placing row k
-every self-distributivity pair whose three participating rows are now
-all placed is checked pointwise, so a completed assignment satisfies
-the class axioms by construction.  Two prunings skip only candidates
-that this check, or the class axioms, would reject:
+arbitrary maps (shelf), indexed once per search.  Row k is tried only
+on the candidates that meet two bitmask prunings, and after it is
+placed the self-distributivity pairs L_k L_y = L_{L_k(y)} L_k with
+y, L_k(y) <= k are checked pointwise, so a completed assignment
+satisfies the class axioms by construction:
 
 - idempotent centrality (quasi classes) depends only on a pair of
   candidates, so it is precomputed as one bitmask of compatible
@@ -23,17 +23,25 @@ that this check, or the class axioms, would reject:
   the masks of the placed rows;
 - every pair L_x L_y = L_{L_x(y)} L_x with x < k whose rows are all
   placed once L_k is restricts the candidates f for L_k, and only those
-  meeting every such pair are tried.  With ``at[v][a]`` the bitmask of
-  candidates f with f(v) = a: a placed y with L_x(y) = k asks
-  f L_x = L_x L_y, which fixes f on the image of L_x; t = L_x(k) < k
-  asks L_x f = L_t L_x, which puts f(v) among the preimages of
-  L_t L_x(v) under L_x; and L_x(k) = k asks that f commute with L_x.
-  When L_x is a bijection either of the first two leaves one candidate.
+  meeting every such pair are tried, which decides all these pairs.
+  With ``at[v][a]`` the bitmask of candidates f with f(v) = a: a placed
+  y with L_x(y) = k asks f L_x = L_x L_y, which fixes f on the image of
+  L_x; t = L_x(k) < k asks L_x f = L_t L_x, which puts f(v) among the
+  preimages of L_t L_x(v) under L_x; and L_x(k) = k asks that f commute
+  with L_x.  When L_x is a bijection either of the first two leaves one
+  candidate.
 
 Isomorphism rejection keeps a labeled table only if no relabeling is
 lexicographically smaller (``shelves.is_canonical``, which stops at the
 first smaller relabeling it meets), so each class is represented by its
-canonical form.
+canonical form.  ``enumerate_canonical`` first skips every table that a
+relabeling beats on its first row alone.  With q(i) the old name of new
+label i and p = q^-1, the relabeled first row is p L_{q(0)} q, so a
+canonical table has L_0 <= m_k(L_k) for every k, where m_k(f) is the
+least p f q over the q with q(0) = k: row 0 takes only the f with
+m_0(f) = f, and row k >= 1 only the f with m_k(f) >= L_0, one cached
+bitmask per row and first row.  The tables left are a subsequence of
+the labeled stream, and ``is_canonical`` still decides among them.
 """
 
 from __future__ import annotations
@@ -146,11 +154,37 @@ def _place(maps, row_masks, compat=None, place_ok=None, forced=None):
     yield from rec(0, -1)
 
 
-def _search_labeled(n: int, klass: str, first_rows=None):
+def _first_row_minima(n: int, maps, row_cands) -> list:
+    """least[k][i]: the least first row p f q over the relabelings q with
+    q(0) = k (p = q^-1), for each f = maps[i] allowed in row k, for the
+    rows k that ``row_cands`` lists.
+
+    With tau the transposition (0 k) this is the least p' (tau f tau) q'
+    over q' with q'(0) = 0, so each conjugate tau f tau costs (n - 1)!
+    relabelings once, whichever rows it serves.
+    """
+    fixing = [((0, *rest), sorted(range(n), key=(0, *rest).__getitem__))
+              for rest in itertools.permutations(range(1, n))]
+
+    @functools.cache
+    def least(f):
+        return min(tuple(p[f[v]] for v in q) for q, p in fixing)
+
+    out = []
+    for k, cands in enumerate(row_cands):
+        tau = list(range(n))
+        tau[0], tau[k] = k, 0
+        out.append({i: least(tuple(tau[maps[i][v]] for v in tau)) for i in cands})
+    return out
+
+
+def _search_labeled(n: int, klass: str, first_rows=None, prune: bool = False):
     """Yield every labeled table of the class, depth-first.
 
     ``first_rows`` restricts row 0 to the given indices into its
-    candidate list (used to split the tree across workers).
+    candidate list (used to split the tree across workers).  With
+    ``prune``, only the tables whose first row no relabeling makes
+    smaller are yielded, in the same order.
     """
     base, row_cands = _row_candidates(n, klass)
     maps = [f for f, _ in base]
@@ -163,6 +197,14 @@ def _search_labeled(n: int, klass: str, first_rows=None):
     for i, f in enumerate(maps):
         for v, a in enumerate(f):
             at[v][a] |= 1 << i
+
+    if prune:
+        least = _first_row_minima(n, maps, row_cands)
+        row_masks[0] = sum(1 << i for i, m in least[0].items() if m == maps[i])
+
+    @functools.cache  # once per row k >= 1 and placed first row
+    def not_below(k, first):
+        return sum(1 << i for i, m in least[k].items() if m >= first)
 
     @functools.cache  # once per distinct placed row m
     def masks_of(m):
@@ -177,24 +219,21 @@ def _search_labeled(n: int, klass: str, first_rows=None):
         return pre, commuting
 
     def place_ok(rows, k: int) -> bool:
-        for x in range(k + 1):
-            mx = rows[x]
-            for y in range(k + 1):
-                t = mx[y]
-                if t > k:
-                    continue
-                if x != k and y != k and t != k:
-                    continue  # already checked when its last row appeared
+        # ``forced`` decides every pair with x < k; the pairs with x = k remain
+        mk = rows[k]
+        for y in range(k + 1):
+            t = mk[y]
+            if t <= k:
                 my, mt = rows[y], rows[t]
                 for z in span:
-                    if mx[my[z]] != mt[mx[z]]:
+                    if mk[my[z]] != mt[mk[z]]:
                         return False
         return True
 
     def forced(rows, k: int):
         # The candidates f = L_k that meet every pair (x, y) with x < k
         # whose rows are placed once L_k is.
-        only = -1
+        only = not_below(k, rows[0]) if prune and k else -1
         for x in range(k):
             mx = rows[x]
             t = mx[k]
@@ -239,7 +278,7 @@ def _passes_filters(table, filters) -> bool:
 
 def _worker(args):
     n, klass, chunk = args
-    return [t for t in _search_labeled(n, klass, first_rows=chunk) if is_canonical(t)]
+    return [t for t in _search_labeled(n, klass, chunk, prune=True) if is_canonical(t)]
 
 
 def enumerate_canonical(
@@ -258,10 +297,12 @@ def enumerate_canonical(
     if n > SIZE_GUARD and not override:
         raise ValueError(f"n={n} exceeds the size guard ({SIZE_GUARD}); pass the override")
     if workers <= 1:
-        survivors = [t for t in _search_labeled(n, klass) if is_canonical(t)]
+        survivors = [t for t in _search_labeled(n, klass, prune=True) if is_canonical(t)]
     else:
-        total = len(_row_candidates(n, klass)[1][0])
-        chunks = [list(range(i, total, workers)) for i in range(min(workers, total))]
+        base, row_cands = _row_candidates(n, klass)
+        least = _first_row_minima(n, [f for f, _ in base], row_cands[:1])[0]
+        roots = [j for j, i in enumerate(row_cands[0]) if least[i] == base[i][0]]
+        chunks = [roots[w::workers] for w in range(min(workers, len(roots)))]
         survivors = []
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_worker, [(n, klass, c) for c in chunks]):

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     naive_automorphism_count,
     naive_class_tables,
+    naive_least_first_row,
     naive_quasi_families,
     naive_question1,
     naive_question2,
@@ -109,15 +110,15 @@ def test_each_filter_counts_its_table1_column(n):
 
 
 def test_workers_agree():
-    for klass in CLASSES:
-        assert enumerate_canonical(3, klass, workers=2) == enumerate_canonical(3, klass)
+    for n, klass in [(3, k) for k in CLASSES] + [(4, "quasi_rack"), (5, "rack")]:
+        assert enumerate_canonical(n, klass, workers=2) == enumerate_canonical(n, klass)
 
 
 def test_worker_pool_is_bounded_by_the_chunks(monkeypatch):
-    asked = []
+    asked, chunks = [], []
 
     class InlinePool:
-        """Records max_workers and runs the chunks in this process."""
+        """Records max_workers and the chunks and runs them in this process."""
 
         def __init__(self, max_workers):
             asked.append(max_workers)
@@ -129,11 +130,21 @@ def test_worker_pool_is_bounded_by_the_chunks(monkeypatch):
             return False
 
         def map(self, fn, items):
+            chunks.extend(chunk for _, _, chunk in items)
             return map(fn, items)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
     tables = enumerate_canonical(3, "shelf", workers=1000)
-    assert asked and asked[0] <= 27
+    # the roots are the first rows f that no relabeling fixing 0 makes
+    # smaller, by index among all maps on 3 points
+    roots = [
+        i for i, f in enumerate(itertools.product(range(3), repeat=3))
+        if all(tuple(q.index(f[v]) for v in q) >= f
+               for q in itertools.permutations(range(3)) if q[0] == 0)
+    ]
+    assert len(roots) == 15
+    assert asked and asked[0] <= len(roots)
+    assert all(chunks) and sorted(j for c in chunks for j in c) == roots
     assert tables == enumerate_canonical(3, "shelf", workers=1)
 
 
@@ -258,9 +269,58 @@ def test_labeled_stream_is_the_naive_filter_in_order(n, klass):
     assert list(_search_labeled(n, klass)) == list(naive_class_tables(n, klass))
 
 
+# The same for the stream that enumerate_canonical walks, which skips
+# every table that a relabeling beats on its first row: a weaker or a
+# stronger prune changes a count here.
+PRUNED_COUNTS = {
+    (3, "shelf"): (76, "f94018b5f36030d8eded89cae3a06e3ab74020e84c373ee3cb7d080931e86a4d"),
+    (4, "quasi_rack"): (887, "742986fb0b71ea7aae02fc3a0b553fb99a45af49bba4742d962f2e32787a3950"),
+    (4, "quasi_quandle"): (
+        147, "4e9017807485d72ed6cbe8f80ac764c8359f9f2e7045a5ebf53cf58ceae735b3"),
+    (5, "rack"): (409, "2a060d3ba53d1c0cd6ee57306e21b1b225dcb7ef248de8cff492d4b7fb92e5e1"),
+    (5, "quandle"): (190, "df52d5bbf036f904d69cbb2dfd8bf1b50e2a269462448b22bb322a5a5cf4a8d5"),
+}
+
+
+@pytest.mark.parametrize("n, klass", sorted(PRUNED_COUNTS))
+def test_pruned_counts(n, klass):
+    tables = list(_search_labeled(n, klass, prune=True))
+    count, digest = PRUNED_COUNTS[n, klass]
+    assert len(tables) == count
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, klass", [(n, k) for n in (1, 2, 3) for k in CLASSES])
+def test_pruned_stream_is_the_naive_filter_in_order(n, klass):
+    expected = [t for t in naive_class_tables(n, klass) if naive_least_first_row(t)]
+    assert list(_search_labeled(n, klass, prune=True)) == expected
+
+
+@pytest.mark.parametrize(
+    "n, klass",
+    [(4, k) for k in ("quasi_rack", "quasi_quandle", "rack", "shelf")]
+    + [(5, "rack"), (5, "quandle")],
+)
+def test_pruned_stream_filters_the_labeled_stream_in_order(n, klass):
+    expected = [t for t in _search_labeled(n, klass) if naive_least_first_row(t)]
+    assert list(_search_labeled(n, klass, prune=True)) == expected
+
+
 def test_quandles_of_order_6():
     # the published count of quandles of order 6 (OEIS A181769)
     assert len(enumerate_canonical(6, "quandle", override=True)) == 73
+
+
+def test_racks_of_order_6():
+    # the published count of racks of order 6
+    assert len(enumerate_canonical(6, "rack", override=True)) == 353
+
+
+def test_quasi_counts_of_order_5():
+    # measured with the unpruned search, where the orbit-stabilizer
+    # identity holds: 481,823 and 56,784 labeled tables
+    assert len(enumerate_canonical(5, "quasi_rack")) == 5176
+    assert len(enumerate_canonical(5, "quasi_quandle")) == 649
 
 
 @pytest.mark.parametrize(
