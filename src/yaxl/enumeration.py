@@ -202,9 +202,9 @@ def _search_labeled(n: int, klass: str, first_rows=None, prune: bool = False):
         least = _first_row_minima(n, maps, row_cands)
         row_masks[0] = sum(1 << i for i, m in least[0].items() if m == maps[i])
 
-    @functools.cache  # once per row k >= 1 and placed first row
-    def not_below(k, first):
-        return sum(1 << i for i, m in least[k].items() if m >= first)
+        @functools.cache  # once per row k >= 1 and placed first row
+        def not_below(k, first):
+            return sum(1 << i for i, m in least[k].items() if m >= first)
 
     @functools.cache  # once per distinct placed row m
     def masks_of(m):
