@@ -31,17 +31,22 @@ satisfies the class axioms by construction:
   with L_x.  When L_x is a bijection either of the first two leaves one
   candidate.
 
-Isomorphism rejection keeps a labeled table only if no relabeling is
-lexicographically smaller (``shelves.is_canonical``, which stops at the
-first smaller relabeling it meets), so each class is represented by its
-canonical form.  ``enumerate_canonical`` first skips every table that a
-relabeling beats on its first row alone.  With q(i) the old name of new
-label i and p = q^-1, the relabeled first row is p L_{q(0)} q, so a
+The search itself decides isomorphism rejection: with ``canonical`` it
+yields a labeled table only if no relabeling is lexicographically
+smaller, so each class is represented by its canonical form, without a
+call to ``shelves.is_canonical``.  With q(i) the old name of new label
+i and p = q^-1, row i of the relabeled table is p L_{q(i)} q.  A
 canonical table has L_0 <= m_k(L_k) for every k, where m_k(f) is the
 least p f q over the q with q(0) = k: row 0 takes only the f with
 m_0(f) = f, and row k >= 1 only the f with m_k(f) >= L_0, one cached
-bitmask per row and first row.  The tables left are a subsequence of
-the labeled stream, and ``is_canonical`` still decides among them.
+bitmask per row and first row.  So only a relabeling that ties row 0
+can beat the table.  When row k is placed as an f with m_k(f) = L_0,
+the q with q(0) = k and p f q = L_0 become live, and after each row
+every live q is carried in order over the rows i for which rows i and
+q(i) are both placed: a smaller relabeled row prunes the subtree, a
+greater one drops q, an equal one moves on.  A complete table that
+survives is canonical; the canonical tables come out in the order of
+the labeled stream.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .shelves import (
     check_starstar,
     check_starstarstar,
     derived_map,
-    is_canonical,
     is_rack,
     quasi_rack_structure,
 )
@@ -168,7 +172,7 @@ def _first_row_minima(n: int, maps, row_cands) -> list:
 
     @functools.cache
     def least(f):
-        return min(tuple(p[f[v]] for v in q) for q, p in fixing)
+        return min(tuple([p[f[v]] for v in q]) for q, p in fixing)
 
     out = []
     for k, cands in enumerate(row_cands):
@@ -178,13 +182,15 @@ def _first_row_minima(n: int, maps, row_cands) -> list:
     return out
 
 
-def _search_labeled(n: int, klass: str, first_rows=None, prune: bool = False):
+def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False,
+                    least=None):
     """Yield every labeled table of the class, depth-first.
 
     ``first_rows`` restricts row 0 to the given indices into its
     candidate list (used to split the tree across workers).  With
-    ``prune``, only the tables whose first row no relabeling makes
-    smaller are yielded, in the same order.
+    ``canonical``, only the tables that no relabeling makes smaller are
+    yielded, in the same order; ``least`` passes the class's
+    ``_first_row_minima`` when the caller has them already.
     """
     base, row_cands = _row_candidates(n, klass)
     maps = [f for f, _ in base]
@@ -198,13 +204,27 @@ def _search_labeled(n: int, klass: str, first_rows=None, prune: bool = False):
         for v, a in enumerate(f):
             at[v][a] |= 1 << i
 
-    if prune:
-        least = _first_row_minima(n, maps, row_cands)
-        row_masks[0] = sum(1 << i for i, m in least[0].items() if m == maps[i])
+    if canonical:
+        if least is None:
+            least = _first_row_minima(n, maps, row_cands)
+        row_masks[0] = sum(1 << i for i in row_cands[0] if least[0][i] == maps[i])
+        index = {f: i for i, f in enumerate(maps)}
+        live = [()] * n  # live[k]: (q, p, i) after row k, rows 0..i-1 of p L q tied
 
         @functools.cache  # once per row k >= 1 and placed first row
         def not_below(k, first):
             return sum(1 << i for i, m in least[k].items() if m >= first)
+
+        # by_first[k]: every relabeling (q, p) with q(0) = k but the identity
+        by_first = [[] for _ in span]
+        for q in itertools.islice(itertools.permutations(span), 1, None):
+            by_first[q[0]].append((q, sorted(span, key=q.__getitem__)))
+
+        @functools.cache  # once per row k and candidate i with m_k(maps[i]) = L_0
+        def ties(k, i):
+            # the relabelings with q(0) = k and p f q = m_k(f), f = maps[i]
+            f, m = maps[i], least[k][i]
+            return [(q, p, 1) for q, p in by_first[k] if tuple([p[f[v]] for v in q]) == m]
 
     @functools.cache  # once per distinct placed row m
     def masks_of(m):
@@ -228,12 +248,36 @@ def _search_labeled(n: int, klass: str, first_rows=None, prune: bool = False):
                 for z in span:
                     if mk[my[z]] != mt[mk[z]]:
                         return False
+        return not canonical or still_least(rows, k)
+
+    def still_least(rows, k: int) -> bool:
+        # Carry each relabeling that ties the rows compared so far over
+        # the rows i <= k with q(i) <= k: a smaller row prunes, a greater
+        # row drops q.  Only the q that tie row 0 can beat the table.
+        todo = live[k - 1] if k else ()
+        c = index[rows[k]]
+        if least[k][c] == rows[0]:
+            todo = [*todo, *ties(k, c)]
+        kept = []
+        for q, p, i in todo:
+            while i <= k and q[i] <= k:
+                row = rows[q[i]]
+                new = tuple([p[row[v]] for v in q])
+                if new != rows[i]:
+                    if new < rows[i]:
+                        return False
+                    break
+                i += 1
+            else:
+                if i < n:  # not yet decided
+                    kept.append((q, p, i))
+        live[k] = kept
         return True
 
     def forced(rows, k: int):
         # The candidates f = L_k that meet every pair (x, y) with x < k
         # whose rows are placed once L_k is.
-        only = not_below(k, rows[0]) if prune and k else -1
+        only = not_below(k, rows[0]) if canonical and k else -1
         for x in range(k):
             mx = rows[x]
             t = mx[k]
@@ -276,9 +320,9 @@ def _passes_filters(table, filters) -> bool:
     return all(profile[f] for f in filters)
 
 
-def _worker(args):
+def _worker(least, args):
     n, klass, chunk = args
-    return [t for t in _search_labeled(n, klass, chunk, prune=True) if is_canonical(t)]
+    return list(_search_labeled(n, klass, chunk, canonical=True, least=least))
 
 
 def enumerate_canonical(
@@ -297,15 +341,17 @@ def enumerate_canonical(
     if n > SIZE_GUARD and not override:
         raise ValueError(f"n={n} exceeds the size guard ({SIZE_GUARD}); pass the override")
     if workers <= 1:
-        survivors = [t for t in _search_labeled(n, klass, prune=True) if is_canonical(t)]
+        survivors = list(_search_labeled(n, klass, canonical=True))
     else:
         base, row_cands = _row_candidates(n, klass)
-        least = _first_row_minima(n, [f for f, _ in base], row_cands[:1])[0]
-        roots = [j for j, i in enumerate(row_cands[0]) if least[i] == base[i][0]]
+        # computed once for every row, and handed to each worker
+        least = _first_row_minima(n, [f for f, _ in base], row_cands)
+        roots = [j for j, i in enumerate(row_cands[0]) if least[0][i] == base[i][0]]
         chunks = [roots[w::workers] for w in range(min(workers, len(roots)))]
         survivors = []
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_worker, [(n, klass, c) for c in chunks]):
+            work = functools.partial(_worker, least)
+            for part in pool.map(work, [(n, klass, c) for c in chunks]):
                 survivors.extend(part)
     survivors = [t for t in survivors if _passes_filters(t, filters)]
     survivors.sort()

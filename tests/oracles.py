@@ -86,14 +86,6 @@ def naive_relabel(t, p):
     return tuple(tuple(row) for row in out)
 
 
-def naive_least_first_row(t):
-    """No relabeling of t has a smaller first row (which every canonical
-    table meets)."""
-    return all(
-        naive_relabel(t, p)[0] >= t[0] for p in itertools.permutations(range(len(t)))
-    )
-
-
 def naive_canonical_form(t):
     """The least of all n! relabelings, each built in full."""
     return min(naive_relabel(t, p) for p in itertools.permutations(range(len(t))))

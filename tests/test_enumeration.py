@@ -7,13 +7,13 @@ import pytest
 
 from oracles import (
     naive_automorphism_count,
+    naive_canonical_form,
     naive_class_tables,
-    naive_least_first_row,
     naive_quasi_families,
     naive_question1,
     naive_question2,
 )
-from yaxl import enumeration
+from yaxl import enumeration, shelves
 from yaxl.enumeration import (
     CLASSES,
     FILTERS,
@@ -269,27 +269,26 @@ def test_labeled_stream_is_the_naive_filter_in_order(n, klass):
     tables = list(naive_class_tables(n, klass))
     assert list(_search_labeled(n, klass)) == tables
     # the stream enumerate_canonical walks
-    pruned = [t for t in tables if naive_least_first_row(t)]
-    assert list(_search_labeled(n, klass, prune=True)) == pruned
+    canonical = [t for t in tables if naive_canonical_form(t) == t]
+    assert list(_search_labeled(n, klass, canonical=True)) == canonical
 
 
-# The same for the stream that enumerate_canonical walks, which skips
-# every table that a relabeling beats on its first row: a weaker or a
-# stronger prune changes a count here.
-PRUNED_COUNTS = {
-    (3, "shelf"): (76, "f94018b5f36030d8eded89cae3a06e3ab74020e84c373ee3cb7d080931e86a4d"),
-    (4, "quasi_rack"): (887, "742986fb0b71ea7aae02fc3a0b553fb99a45af49bba4742d962f2e32787a3950"),
-    (4, "quasi_quandle"): (
-        147, "4e9017807485d72ed6cbe8f80ac764c8359f9f2e7045a5ebf53cf58ceae735b3"),
-    (5, "rack"): (409, "2a060d3ba53d1c0cd6ee57306e21b1b225dcb7ef248de8cff492d4b7fb92e5e1"),
-    (5, "quandle"): (190, "df52d5bbf036f904d69cbb2dfd8bf1b50e2a269462448b22bb322a5a5cf4a8d5"),
+# The same for the stream that enumerate_canonical walks, which the
+# search prunes to the canonical tables alone: a weaker or a stronger
+# prune changes a count here.
+CANONICAL_COUNTS = {
+    (3, "shelf"): (48, "3b6d866b1992ed0ee1dfade04759192ae0e0a32559e15e91981443d5fa8efee0"),
+    (4, "quasi_rack"): (325, "72aeb2bd1f3f040a8fd78f89386ce5bcb43be394fbae0f06bd40a71495448ac8"),
+    (4, "quasi_quandle"): (62, "de5e78d0519c838d1eb7139063ce29fd79570e3ac1ffcf46c4c25652a1750ff4"),
+    (5, "rack"): (74, "23aa15981778eacbb2b910e117dfe90e599760eab2c754ad912ee28d6d5e9011"),
+    (5, "quandle"): (22, "5d0147a22b1e10ce27d3f4de1419f1b05bbf6dfb3bda84510bf14d5dfade7513"),
 }
 
 
-@pytest.mark.parametrize("n, klass", sorted(PRUNED_COUNTS))
+@pytest.mark.parametrize("n, klass", sorted(CANONICAL_COUNTS))
 def test_pruned_counts(n, klass):
-    tables = list(_search_labeled(n, klass, prune=True))
-    count, digest = PRUNED_COUNTS[n, klass]
+    tables = list(_search_labeled(n, klass, canonical=True))
+    count, digest = CANONICAL_COUNTS[n, klass]
     assert len(tables) == count
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
@@ -297,11 +296,23 @@ def test_pruned_counts(n, klass):
 @pytest.mark.parametrize(
     "n, klass",
     [(4, k) for k in ("quasi_rack", "quasi_quandle", "rack", "shelf")]
-    + [(5, "rack"), (5, "quandle")],
+    + [(5, "rack"), (5, "quandle"), (5, "quasi_quandle")],
 )
 def test_pruned_stream_filters_the_labeled_stream_in_order(n, klass):
-    expected = [t for t in _search_labeled(n, klass) if naive_least_first_row(t)]
-    assert list(_search_labeled(n, klass, prune=True)) == expected
+    expected = [t for t in _search_labeled(n, klass) if is_canonical(t)]
+    assert list(_search_labeled(n, klass, canonical=True)) == expected
+
+
+def test_enumerate_does_not_call_is_canonical(monkeypatch):
+    # the search decides canonicity itself; both shelves.is_canonical and
+    # shelves.canonical_form walk _smaller_relabelings
+    def boom(*args):
+        raise AssertionError("the enumeration called a relabeling walk")
+
+    monkeypatch.setattr(shelves, "is_canonical", boom)
+    monkeypatch.setattr(shelves, "_smaller_relabelings", boom)
+    assert len(enumerate_canonical(4, "quasi_rack")) == 325
+    assert table1_row(3) == TABLE1_EXPECTED[3]
 
 
 def test_quandles_of_order_6():
