@@ -2,11 +2,11 @@
 groups, the quasi quandles they carry, weak braces and their solutions,
 constant shelves, and rack-cocycle extensions.
 
-Also hosts the small fixture generators used throughout the test suite:
-all strong semilattice systems over semilattices with at most three
-points and groups of order at most four, and all skew braces of order
-at most four (built as pairs of labeled group tables validated by brute
-force).
+Also hosts the generators used throughout the test suite: the
+semilattices with at most m points up to isomorphism, every strong
+semilattice system over them for a choice of fibers (groups here, racks
+in the tests), and all skew braces of order at most four (pairs of
+labeled group tables validated by brute force).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 from .fnmap import FnMap, compose, idempotents_central, is_completely_regular, relative_inverse
 from .shelves import (
     Magma,
+    canonical_form,
     homomorphisms,
     is_hom,
     is_quasi_quandle,
@@ -44,19 +45,29 @@ def semilattice_geq(meet, a: int, b: int) -> bool:
     return meet[a][b] == b
 
 
-def semilattices_upto(max_points: int = 3):
+def semilattices_upto(max_points: int = 3) -> list:
     """Meet tables of all semilattices with <= max_points elements, up to
-    isomorphism (hand-listed; there are few of them)."""
-    tables = [((0,),)]
-    if max_points >= 2:
-        tables.append(tuple(tuple(min(i, j) for j in range(2)) for i in range(2)))
-    if max_points >= 3:
-        tables.append(tuple(tuple(min(i, j) for j in range(3)) for i in range(3)))
-        # one bottom below two incomparable points
-        tables.append(((0, 0, 0), (0, 1, 0), (0, 0, 2)))
-    if max_points >= 4:
-        raise ValueError("only semilattices with <= 3 points are generated")
-    return tables
+    isomorphism, in canonical form, ordered by size and then by table.
+
+    Every finite partial order can be labeled 0, ..., m-1 along a linear
+    extension, so only the partial orders in which a <= b implies a <= b
+    as integers are tried; those in which every pair has a greatest
+    lower bound are the semilattices.
+    """
+    tables = set()
+    for m in range(1, max_points + 1):
+        span = range(m)
+        pairs = list(itertools.combinations(span, 2))
+        for bits in itertools.product((False, True), repeat=len(pairs)):
+            le = set(itertools.compress(pairs, bits))
+            below = [{a for a in span if a == b or (a, b) in le} for b in span]  # the a <= b
+            if any(not below[a] <= below[b] for b in span for a in below[b]):
+                continue  # not transitive
+            meet = [[max(below[a] & below[b], default=None) for b in span] for a in span]
+            if all(c is not None and below[a] & below[b] <= below[c]
+                   for a, row in enumerate(meet) for b, c in enumerate(row)):
+                tables.add(canonical_form(tuple(map(tuple, meet))))
+    return sorted(tables, key=lambda t: (len(t), t))
 
 
 # ---------------------------------------------------------------------------
@@ -264,30 +275,36 @@ def clifford_from_system(sys: SemilatticeSystem) -> CliffordTable:
     return clifford_table(semilattice_sum(sys))
 
 
-def all_systems(max_size: int = 5, max_points: int = 3) -> Iterator[SemilatticeSystem]:
-    """Every strong semilattice system with the given size bounds.
+def all_systems(fiber_choices, max_points: int = 3) -> Iterator[SemilatticeSystem]:
+    """Every strong semilattice system over the semilattices with at most
+    max_points points (``semilattices_upto``).
 
-    Semilattices up to isomorphism, group fibers of total order at most
-    max_size, and every compatible family of gluing homomorphisms.
+    For each meet table on m points, ``fiber_choices(m)`` yields the
+    tuples of m fibers to try, and every family of gluing homomorphisms
+    that composes is kept.
     """
     for meet in semilattices_upto(max_points):
         m = len(meet)
-        down_pairs = [
-            (a, b)
-            for a in range(m)
-            for b in range(m)
-            if a != b and semilattice_geq(meet, a, b)
-        ]
-        for orders in itertools.product(range(1, max_size + 1), repeat=m):
-            if sum(orders) > max_size:
-                continue
-            for groups in itertools.product(*(groups_of_order(k) for k in orders)):
-                choices = [list(homomorphisms(groups[a], groups[b])) for a, b in down_pairs]
-                for combo in itertools.product(*choices):
-                    homs = {(a, a): tuple(range(len(groups[a]))) for a in range(m)}
-                    homs.update(dict(zip(down_pairs, combo)))
-                    if _gluing_composes(meet, homs):
-                        yield SemilatticeSystem(meet, groups, homs)
+        span = range(m)
+        down_pairs = [(a, b) for a in span for b in span if a != b and semilattice_geq(meet, a, b)]
+        for fibers in fiber_choices(m):
+            choices = [list(homomorphisms(fibers[a], fibers[b])) for a, b in down_pairs]
+            for combo in itertools.product(*choices):
+                homs = {(a, a): tuple(range(len(fibers[a]))) for a in span}
+                homs.update(zip(down_pairs, combo))
+                if _gluing_composes(meet, homs):
+                    yield SemilatticeSystem(meet, fibers, homs)
+
+
+def group_fibers(max_size: int = 5):
+    """The fiber choice of ``all_systems`` for Clifford semigroups: every
+    tuple of groups on the m points of total order at most max_size."""
+    return lambda m: (
+        groups
+        for orders in itertools.product(range(1, max_size + 1), repeat=m)
+        if sum(orders) <= max_size
+        for groups in itertools.product(*map(groups_of_order, orders))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +580,7 @@ def dual_weak_brace_fixtures(max_size: int = 5, max_skew_order: int = 4) -> Iter
     """Trivial and opposite-trivial braces over every generated Clifford
     semigroup, plus all skew braces of small order."""
     seen = set()
-    for sys in all_systems(max_size=max_size):
+    for sys in all_systems(group_fibers(max_size)):
         c = clifford_from_system(sys)
         for b in (trivial_brace(c), opposite_trivial_brace(c)):
             key = (b.add, b.mul)

@@ -5,12 +5,12 @@ import itertools
 
 from yaxl.constructions import (
     SemilatticeSystem,
+    all_systems,
     clifford_from_system,
     cyclic_group,
     deformed_quasi_rack,
 )
 from yaxl.enumeration import enumerate_canonical
-from yaxl.plonka import PlonkaSystem
 
 # L_0 = L_1 = const 0, L_2 = id: satisfies (*) but not (**)
 STAR_NOT_STARSTAR = ((0, 0, 0), (0, 0, 0), (0, 1, 2))
@@ -52,15 +52,6 @@ def deformed_fixture():
     return deformed_quasi_rack(two_chain_clifford(), 0)
 
 
-def rack_homs(a, b):
-    na, nb = len(a), len(b)
-    return [
-        f
-        for f in itertools.product(range(nb), repeat=na)
-        if all(f[a[x][y]] == b[f[x]][f[y]] for x in range(na) for y in range(na))
-    ]
-
-
 def all_rack_systems(max_fiber_two_points=4, max_fiber_three_points=3):
     """Every Plonka system over the semilattices with <= 3 points.
 
@@ -70,43 +61,14 @@ def all_rack_systems(max_fiber_two_points=4, max_fiber_three_points=3):
     exhaustive three-point space is combinatorially much larger; the
     bound keeps the sweep in the tens of thousands).
     """
-    racks2 = [
-        r for n in range(1, max_fiber_two_points + 1) for n_r in [enumerate_canonical(n, "rack")] for r in n_r
-    ]
-    racks3 = [
-        r for n in range(1, max_fiber_three_points + 1) for n_r in [enumerate_canonical(n, "rack")] for r in n_r
+    racks = [
+        r
+        for n in range(1, max(max_fiber_two_points, max_fiber_three_points) + 1)
+        for r in enumerate_canonical(n, "rack")
     ]
 
-    def ident(r):
-        return tuple(range(len(r)))
+    def fibers(m):
+        bound = max_fiber_two_points if m <= 2 else max_fiber_three_points
+        return itertools.product([r for r in racks if len(r) <= bound], repeat=m)
 
-    for f in racks2:
-        yield PlonkaSystem(((0,),), (f,), {(0, 0): ident(f)})
-    meet2 = ((0, 0), (0, 1))
-    for top in racks2:
-        for bot in racks2:
-            for h in rack_homs(top, bot):
-                yield PlonkaSystem(
-                    meet2,
-                    (bot, top),
-                    {(0, 0): ident(bot), (1, 1): ident(top), (1, 0): h},
-                )
-    meet3 = tuple(tuple(min(i, j) for j in range(3)) for i in range(3))
-    meet_v = ((0, 0, 0), (0, 1, 0), (0, 0, 2))
-    for f0 in racks3:
-        for f1 in racks3:
-            for f2 in racks3:
-                base = {(i, i): ident(f) for i, f in enumerate((f0, f1, f2))}
-                for h21 in rack_homs(f2, f1):
-                    for h10 in rack_homs(f1, f0):
-                        homs = dict(base)
-                        homs[(2, 1)] = h21
-                        homs[(1, 0)] = h10
-                        homs[(2, 0)] = tuple(h10[v] for v in h21)
-                        yield PlonkaSystem(meet3, (f0, f1, f2), homs)
-                for h10 in rack_homs(f1, f0):
-                    for h20 in rack_homs(f2, f0):
-                        homs = dict(base)
-                        homs[(1, 0)] = h10
-                        homs[(2, 0)] = h20
-                        yield PlonkaSystem(meet_v, (f0, f1, f2), homs)
+    return all_systems(fibers, max_points=3)

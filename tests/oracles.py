@@ -76,6 +76,16 @@ def naive_class_tables(n, klass):
             raise ValueError(klass)
 
 
+def rack_homs(a, b):
+    """Every map f with f(x |> y) = f(x) |> f(y), from the full map space."""
+    na, nb = len(a), len(b)
+    return [
+        f
+        for f in itertools.product(range(nb), repeat=na)
+        if all(f[a[x][y]] == b[f[x]][f[y]] for x in range(na) for y in range(na))
+    ]
+
+
 def naive_relabel(t, p):
     """The table of the operation transported along the permutation p."""
     n = len(t)
@@ -89,6 +99,22 @@ def naive_relabel(t, p):
 def naive_canonical_form(t):
     """The least of all n! relabelings, each built in full."""
     return min(naive_relabel(t, p) for p in itertools.permutations(range(len(t))))
+
+
+def naive_semilattices(m):
+    """The canonical forms of the semilattices on m points, sorted: every
+    commutative idempotent table (one per choice of the entries above the
+    diagonal, m^(m(m-1)/2) of them) that is associative."""
+    span = range(m)
+    upper = list(itertools.combinations(span, 2))
+    found = set()
+    for values in itertools.product(span, repeat=len(upper)):
+        t = [[x if x == y else None for y in span] for x in span]
+        for (x, y), v in zip(upper, values):
+            t[x][y] = t[y][x] = v
+        if all(t[t[x][y]][z] == t[x][t[y][z]] for x in span for y in span for z in span):
+            found.add(naive_canonical_form(tuple(map(tuple, t))))
+    return sorted(found)
 
 
 def naive_automorphism_count(t):

@@ -29,16 +29,20 @@ from oracles import (
 )
 from yaxl.constructions import dual_weak_brace_fixtures
 from yaxl.constructions import (
+    all_systems,
     brace_solution,
     brace_structure_shelf_check,
     lambda_rho_clifford_check,
     opposite_brace,
+    semilattice_sum,
 )
 from yaxl.enumeration import (
     CLASSES,
+    TABLE1_COLUMNS,
     TABLE1_EXPECTED,
     _quasi_families,
     _regular_candidates,
+    cross_tabulate,
     enumerate_canonical,
     search_question1,
     search_question2,
@@ -53,6 +57,7 @@ from yaxl.plonka import (
     sum_structure_check,
 )
 from yaxl.shelves import (
+    canonical_form,
     check_star,
     check_starstar,
     check_starstarstar,
@@ -97,6 +102,47 @@ def test_enumeration_table_counts():
     start = time.monotonic()
     assert table1_row(4) == TABLE1_EXPECTED[4]
     assert time.monotonic() - start < 600
+
+
+# the distinct Plonka sums of racks of total size n, for n = 1 ... 5
+PLONKA_SUMS = (1, 3, 11, 48, 230)
+
+
+def test_table1_row_at_5():
+    # pinned next to three guards: the published count of 74 racks of
+    # order 5 (here), the orbit-stabilizer identity for quasi racks and
+    # quasi quandles at n = 5 (tests/test_enumeration.py) and the
+    # Plonka-side count of the (*) and (***) cell (below)
+    assert len(enumerate_canonical(5, "rack")) == 74
+    start = time.monotonic()
+    c = cross_tabulate(5)
+    assert tuple(c[k] for k in TABLE1_COLUMNS) == TABLE1_EXPECTED[5]
+    assert time.monotonic() - start < 60
+    assert c["star_and_starstarstar"] == 230
+    assert c["ds_minus_star_or_starstar"] == 239
+    # observed at every n <= 5, not a theorem: no quasi rack has (***)
+    # without (**)
+    assert c["starstarstar_minus_starstar"] == 0
+
+
+def test_plonka_side_count():
+    # The quasi racks with (*) and (***) are exactly the Plonka sums of
+    # racks, so the distinct sums of total size n count that cell of the
+    # cross tabulation.  The count builds each sum from racks, gluing
+    # homomorphisms and a generated semilattice; it shares
+    # semilattice_sum and canonical_form with the library, but none of
+    # the quasi-rack search and none of the (*) and (***) checks.
+    racks = {k: enumerate_canonical(k, "rack") for k in range(1, len(PLONKA_SUMS) + 1)}
+    for n, expected in enumerate(PLONKA_SUMS, start=1):
+
+        def fibers(m):
+            for sizes in itertools.product(range(1, n + 1), repeat=m):
+                if sum(sizes) == n:
+                    yield from itertools.product(*(racks[k] for k in sizes))
+
+        sums = {canonical_form(semilattice_sum(p)) for p in all_systems(fibers, max_points=n)}
+        assert len(sums) == expected
+        assert cross_tabulate(n)["star_and_starstarstar"] == expected
 
 
 def test_enumerator_matches_naive_oracle():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from fixtures import deformed_fixture, dihedral_quandle, two_chain_clifford
+from oracles import naive_semilattices
 from yaxl.constructions import (
     SemilatticeSystem,
     all_skew_braces,
@@ -21,6 +22,7 @@ from yaxl.constructions import (
     deformed_quasi_rack,
     dual_weak_brace_fixtures,
     group_identity,
+    group_fibers,
     groups_of_order,
     is_clifford,
     is_dual,
@@ -53,7 +55,7 @@ from yaxl.fnmap import compose
 
 
 def test_semilattices():
-    for meet in semilattices_upto(3):
+    for meet in semilattices_upto(5):
         assert is_semilattice(meet)
     assert len(semilattices_upto(1)) == 1
     assert len(semilattices_upto(2)) == 2
@@ -61,8 +63,24 @@ def test_semilattices():
     chain2 = semilattices_upto(2)[1]
     assert semilattice_geq(chain2, 1, 0) and not semilattice_geq(chain2, 0, 1)
     assert not is_semilattice(cyclic_group(2))  # not idempotent
-    with pytest.raises(ValueError):
-        semilattices_upto(4)
+    # one per lattice on m + 1 nodes (OEIS A006966): 1, 1, 2, 5, 15 on
+    # 1 ... 5 points
+    sizes = [len(meet) for meet in semilattices_upto(5)]
+    assert [sizes.count(m) for m in range(1, 6)] == [1, 1, 2, 5, 15]
+    # the tables on <= 3 points: a point, the 2-chain, the V (one bottom
+    # below two incomparable points) and the 3-chain
+    assert semilattices_upto(3) == [
+        ((0,),),
+        ((0, 0), (0, 1)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 2)),
+        tuple(tuple(min(i, j) for j in range(3)) for i in range(3)),
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_semilattices_match_the_naive_filter(m):
+    expected = naive_semilattices(m)
+    assert [t for t in semilattices_upto(m) if len(t) == m] == expected
 
 
 def test_groups():
@@ -134,7 +152,7 @@ def test_validate_system_errors():
 
 def test_all_systems_are_clifford():
     count = 0
-    for sys in all_systems(max_size=4):
+    for sys in all_systems(group_fibers(4)):
         c = clifford_from_system(sys)
         assert is_clifford(c.mul)
         count += 1

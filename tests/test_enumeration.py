@@ -24,6 +24,7 @@ from yaxl.enumeration import (
     search_question2,
     table1_row,
     TABLE1_EXPECTED,
+    _compat_masks,
     _partner_masks,
     _place,
     _quasi_families,
@@ -31,6 +32,7 @@ from yaxl.enumeration import (
     _search_labeled,
     quasi_rack_profile,
 )
+from yaxl.fnmap import commutes
 from yaxl.shelves import canonical_form, is_canonical, is_quandle, quasi_rack_structure
 from yaxl.solutions import Solution, is_solution
 
@@ -156,12 +158,13 @@ def test_table1_rows():
 def test_cross_tabulate_consistency():
     c = cross_tabulate(3)
     assert c["qr"] == 31 and c["r"] == 6
-    # observed at every n <= 4, not a theorem: no quasi rack has (***)
+    # observed at every n <= 5, not a theorem: no quasi rack has (***)
     # without (**)
     assert c["starstarstar_minus_starstar"] == 0
     assert c["star_and_starstarstar"] <= min(c["qr_star"], c["qr_starstarstar"])
+    # the enumeration's size guard refuses n = 6
     with pytest.raises(ValueError):
-        cross_tabulate(5)
+        cross_tabulate(6)
 
 
 def test_search_question1_small():
@@ -218,6 +221,16 @@ def test_cell_filter_drops_only_non_solutions():
                 dropped += 1
                 assert not is_solution(Solution(lam=lam, rho=rho)), (lam, rho)
     assert kept and dropped
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compat_masks_match_the_pairwise_definition(n):
+    cands = _regular_candidates(n)
+    for (f, z), mask in zip(cands, _compat_masks(cands)):
+        expected = sum(
+            1 << j for j, (g, w) in enumerate(cands) if commutes(z, g) and commutes(w, f)
+        )
+        assert mask == expected
 
 
 def test_quasi_families_match_naive_filter():
@@ -334,7 +347,8 @@ def test_quasi_counts_of_order_5():
 
 @pytest.mark.parametrize(
     "n, klass",
-    [(n, k) for n in (1, 2, 3, 4) for k in CLASSES] + [(5, "rack"), (5, "quandle")],
+    [(n, k) for n in (1, 2, 3, 4) for k in CLASSES]
+    + [(5, k) for k in ("rack", "quandle", "quasi_rack", "quasi_quandle")],
 )
 def test_orbit_stabilizer(n, klass):
     # every labeled table is one relabeling of one canonical table, and a

@@ -8,10 +8,9 @@ from fixtures import (
     SSS_NOT_STAR,
     STAR_NOT_STARSTAR,
     dihedral_quandle,
-    rack_homs,
     trivial_quandle,
 )
-from oracles import comp, is_self_distributive, naive_canonical_form, naive_is_quasi_rack
+from oracles import comp, is_self_distributive, naive_canonical_form, naive_is_quasi_rack, rack_homs
 from yaxl.fnmap import compose, identity
 from yaxl.shelves import (
     are_isomorphic,
