@@ -369,13 +369,16 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
     rack = validate_table(rack)
     n = len(rack)
     rng_x, rng_s = range(n), range(s_size)
+    zeros = {}
     for i in rng_x:
         for j in rng_x:
             for s in rng_s:
-                if not is_completely_regular(alpha[i][j][s]):
+                triple = relative_inverse(alpha[i][j][s])
+                if triple is None:
                     raise ValueError(
                         f"condition 1 fails: alpha[{i}][{j}]({s}) has no relative inverse"
                     )
+                zeros[(i, j, s)] = triple.zero
     for i in rng_x:
         for j in rng_x:
             for k in rng_x:
@@ -390,12 +393,6 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
                             raise ValueError(
                                 f"condition 2 fails at i={i} j={j} k={k} s={s} t={t}"
                             )
-    zeros = {
-        (i, j, s): relative_inverse(alpha[i][j][s]).zero
-        for i in rng_x
-        for j in rng_x
-        for s in rng_s
-    }
     for i in rng_x:
         for j in rng_x:
             for k in rng_x:

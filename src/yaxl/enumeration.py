@@ -56,7 +56,7 @@ import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 
-from .fnmap import is_completely_regular, relative_inverse
+from .fnmap import relative_inverse
 from .shelves import (
     QuasiRack,
     check_star,
@@ -80,11 +80,8 @@ SIZE_GUARD = 5
 
 def _regular_candidates(n: int) -> list:
     """(map, idempotent) for every completely regular map on n points."""
-    return [
-        (f, relative_inverse(f).zero)
-        for f in itertools.product(range(n), repeat=n)
-        if is_completely_regular(f)
-    ]
+    triples = map(relative_inverse, itertools.product(range(n), repeat=n))
+    return [(t.f, t.zero) for t in triples if t is not None]
 
 
 def _row_candidates(n: int, klass: str) -> tuple:

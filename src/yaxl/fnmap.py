@@ -5,14 +5,13 @@ A transformation is stored as a plain tuple: entry ``i`` is the image of
 
 The one non-trivial operation is the relative inverse: for a completely
 regular transformation ``f`` there is a unique ``g`` with ``fgf = f``,
-``gfg = g`` and ``fg = gf``.  It is computed by a power formula rather
-than by search (the brute-force search lives in the test suite as an
-independent oracle).
+``gfg = g`` and ``fg = gf``.  It is read off the inverse of ``f`` on its
+image rather than found by search (the brute-force search lives in the
+test suite as an independent oracle).
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import NamedTuple, Optional
 
 FnMap = tuple
@@ -49,20 +48,6 @@ def compose(f: FnMap, g: FnMap) -> FnMap:
     return tuple([f[x] for x in g])
 
 
-def power(f: FnMap, k: int) -> FnMap:
-    """k-fold composite of f with itself; k = 0 gives the identity."""
-    if k < 0:
-        raise ValueError("negative power of a transformation")
-    result = identity(len(f))
-    base = f
-    while k:
-        if k & 1:
-            result = compose(base, result)
-        base = compose(base, base)
-        k >>= 1
-    return result
-
-
 def commutes(f: FnMap, g: FnMap) -> bool:
     if len(f) != len(g):
         raise ValueError(f"size mismatch: {len(f)} vs {len(g)}")
@@ -90,39 +75,22 @@ def is_completely_regular(f: FnMap) -> bool:
     return len({f[x] for x in im}) == len(im)
 
 
-def _restriction_period(f: FnMap) -> int:
-    # Order of the permutation f|_{im(f)}: lcm of its cycle lengths.
-    # Only valid when f is completely regular.
-    seen = set()
-    period = 1
-    for start in set(f):
-        if start in seen:
-            continue
-        x = f[start]
-        length = 1
-        while x != start:
-            seen.add(x)
-            x = f[x]
-            length += 1
-        seen.add(start)
-        period = lcm(period, length)
-    return period
-
-
 def relative_inverse(f: FnMap) -> Optional[RegularTriple]:
     """The unique relative inverse of f, or None if f is not completely regular.
 
-    If p is the order of the permutation f|_{im(f)}, the inverse is
-    f**(p-1) for p >= 2 and f itself when p = 1 (f idempotent).
+    f permutes its image; with ``back`` the inverse of that permutation,
+    the idempotent is back o f and the inverse is back o back o f.
     """
     if not is_completely_regular(f):
         return None
-    p = _restriction_period(f)
-    inv = f if p == 1 else power(f, p - 1)
-    zero = compose(f, inv)
+    back = [0] * len(f)
+    for x in set(f):
+        back[f[x]] = x
+    zero = tuple([back[y] for y in f])
+    inv = tuple([back[y] for y in zero])
     assert compose(zero, f) == f
     assert compose(inv, zero) == inv
-    assert compose(inv, f) == zero and is_idempotent(zero)
+    assert compose(inv, f) == zero == compose(f, inv) and is_idempotent(zero)
     return RegularTriple(f, inv, zero)
 
 

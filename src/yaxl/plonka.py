@@ -25,6 +25,7 @@ from .shelves import (
     check_star,
     check_starstarstar,
     derived_map,
+    is_hom,
     is_left_shelf,
     is_quasi_quandle,
     is_rack,
@@ -136,9 +137,8 @@ def decompose(q: QuasiRack) -> PlonkaSystem:
                 f.append(k)
             homs[(i, j)] = tuple(f)
     # the projection onto classes is a shelf homomorphism into the meet
-    for a in range(n):
-        for b in range(n):
-            assert local[q.table[a][b]][0] == meet[local[a][0]][local[b][0]]
+    proj = tuple(local[a][0] for a in range(n))
+    assert is_hom(proj, q.table, meet)
     p = PlonkaSystem(meet, tuple(fibers), homs)
     validate_system(p, is_rack)
     return p

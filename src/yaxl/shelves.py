@@ -68,10 +68,6 @@ class QuasiRack:
     def n(self) -> int:
         return len(self.table)
 
-    @property
-    def L(self) -> Magma:
-        return self.table
-
 
 def quasi_rack_structure(table: Magma) -> Optional[QuasiRack]:
     """Full quasi-rack data for the table, or None if it is not one.

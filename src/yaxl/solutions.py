@@ -296,17 +296,15 @@ def lyubashenko(f: FnMap, g: FnMap) -> Solution:
     quasi non-degenerate solution, and cubic (r^3 = r) when g is the
     relative inverse of f.
     """
-    from .fnmap import is_completely_regular
-
     if len(f) != len(g):
         raise ValueError("size mismatch")
     if not commutes(f, g):
         raise ValueError("maps must commute")
-    if not (is_completely_regular(f) and is_completely_regular(g)):
+    tf = relative_inverse(f)
+    if tf is None or relative_inverse(g) is None:
         raise ValueError("maps must be completely regular")
     n = len(f)
     s = Solution(lam=tuple(f for _ in range(n)), rho=tuple(g for _ in range(n)))
-    tf = relative_inverse(f)
     if g == tf.inv:
         r = pair_map(s)
         assert compose(compose(r, r), r) == r

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_relative_inverses, comp
+from oracles import brute_relative_inverses, comp, naive_is_completely_regular
 from yaxl.fnmap import (
     commutes,
     compose,
@@ -13,7 +14,6 @@ from yaxl.fnmap import (
     is_completely_regular,
     is_idempotent,
     is_permutation,
-    power,
     relative_inverse,
     zeros_multiplicative,
 )
@@ -39,16 +39,6 @@ def test_compose_convention():
 def test_compose_size_mismatch():
     with pytest.raises(ValueError):
         compose((0, 1), (0, 1, 2))
-
-
-def test_power():
-    f = (1, 2, 0)
-    assert power(f, 0) == identity(3)
-    assert power(f, 1) == f
-    assert power(f, 3) == identity(3)
-    assert power(f, 7) == f
-    with pytest.raises(ValueError):
-        power(f, -1)
 
 
 def test_predicates():
@@ -95,25 +85,25 @@ def test_relative_inverse_matches_brute_force_n3():
 
 
 def test_completely_regular_map_count():
-    # sum_k C(4,k) k! k^(4-k) = 148
-    count = sum(
-        1
-        for f in itertools.product(range(4), repeat=4)
-        if is_completely_regular(f)
-    )
-    assert count == 148
+    # sum_k C(n,k) k! k^(n-k)
+    for n, count in [(4, 148), (5, 1305), (6, 13806)]:
+        assert count == sum(math.comb(n, k) * math.factorial(k) * k ** (n - k) for k in range(n + 1))
+        assert sum(1 for f in itertools.product(range(n), repeat=n) if is_completely_regular(f)) == count
 
 
-@given(maps(5))
-def test_relative_inverse_identities(f):
-    t = relative_inverse(f)
-    if t is None:
-        assert not is_completely_regular(f)
-        return
-    assert compose(compose(f, t.inv), f) == f
-    assert compose(compose(t.inv, f), t.inv) == t.inv
-    assert compose(f, t.inv) == compose(t.inv, f) == t.zero
-    assert is_idempotent(t.zero)
+def test_relative_inverse_identities():
+    # every map on at most 6 points, against the naive definitions
+    for n in range(7):
+        for f in itertools.product(range(n), repeat=n):
+            t = relative_inverse(f)
+            if t is None:
+                assert not naive_is_completely_regular(f)
+                continue
+            assert naive_is_completely_regular(f) and t.f == f
+            assert comp(comp(f, t.inv), f) == f
+            assert comp(comp(t.inv, f), t.inv) == t.inv
+            assert comp(f, t.inv) == comp(t.inv, f) == t.zero
+            assert comp(t.zero, t.zero) == t.zero
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(maps(n), maps(n))))

@@ -1,4 +1,5 @@
-"""Every name a ``yaxl`` module imports at top level is used in it."""
+"""Every name a ``yaxl`` module imports at top level is used in it, and
+every private top-level function or class is read by some module."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,34 @@ def test_the_gate_flags_an_unused_import():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_definitions(sources: list) -> list:
+    """Private top-level functions and classes that no module reads by
+    name or as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [name for name in defined if name not in used]
+
+
+def test_the_gate_flags_an_unused_private_definition():
+    first = "def _a(): pass\ndef _c(): pass\nclass _D: pass\ndef e(): _a()\n"
+    second = "import m\nm._D\n"
+    assert unused_private_definitions([first, second]) == ["_c"]
+    assert unused_private_definitions(["def _f(): pass\n", "from m import _f\n"]) == ["_f"]
+
+
+def test_no_unused_private_definitions():
+    assert unused_private_definitions([path.read_text() for path in SRC]) == []
