@@ -350,7 +350,9 @@ def enumerate_canonical(
         raise ValueError("filters only apply to quasi classes")
     if n > SIZE_GUARD and not override:
         raise ValueError(f"n={n} exceeds the size guard ({SIZE_GUARD}); pass the override")
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         survivors = list(_search_labeled(n, klass, canonical=True))
     else:
         base, row_cands = _row_candidates(n, klass)

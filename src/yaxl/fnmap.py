@@ -81,16 +81,15 @@ def relative_inverse(f: FnMap) -> Optional[RegularTriple]:
     f permutes its image; with ``back`` the inverse of that permutation,
     the idempotent is back o f and the inverse is back o back o f.
     """
-    if not is_completely_regular(f):
+    im = set(f)
+    back = {f[x]: x for x in im}
+    if len(back) != len(im):  # f does not permute its image
         return None
-    back = [0] * len(f)
-    for x in set(f):
-        back[f[x]] = x
     zero = tuple([back[y] for y in f])
-    inv = tuple([back[y] for y in zero])
-    assert compose(zero, f) == f
-    assert compose(inv, zero) == inv
-    assert compose(inv, f) == zero == compose(f, inv) and is_idempotent(zero)
+    inv = tuple([back[z] for z in zero])
+    # pointwise: zero f = f, inv f = zero = f inv, zero zero = zero, inv zero = inv
+    for y, z, i in zip(f, zero, inv):
+        assert zero[y] == y and inv[y] == z == f[i] and zero[z] == z and inv[z] == i
     return RegularTriple(f, inv, zero)
 
 

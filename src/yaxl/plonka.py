@@ -53,24 +53,26 @@ def checked_sum(p: PlonkaSystem) -> QuasiRack:
     L_a^-(b) = (L_{phi(a)} in the meet fiber)^{-1}(phi_{beta, alpha^beta}(b));
     quandle fibers give a quasi quandle.
 
-    The closed forms are built with the table, then certified: each L_a
-    lies in the group of L_a^0 with inverse L_a^-.  Nothing is cached.
+    The table and the closed forms are built in one walk, then certified:
+    each L_a lies in the group of L_a^0 with inverse L_a^-.  Nothing is cached.
     """
     validate_system(p, is_rack)
-    table = semilattice_sum(p)
     off, fibers = p.offsets(), p.fibers
-    zero, inv = [], []
+    # the inverses of the fiber translations, permutations since fibers are racks
+    back = [[sorted(range(len(row)), key=row.__getitem__) for row in fiber] for fiber in fibers]
+    table, zero, inv = [], [], []
     for blocks in sum_blocks(p):
+        table.append(tuple([off[c] + fibers[c][u][v] for c, u, h in blocks for v in h]))
         zero.append(tuple([off[c] + v for c, u, h in blocks for v in h]))
-        # invert the fiber translation (a permutation since fibers are racks)
-        inv.append(tuple([off[c] + fibers[c][u].index(v) for c, u, h in blocks for v in h]))
+        inv.append(tuple([off[c] + back[c][u][v] for c, u, h in blocks for v in h]))
     assert is_left_shelf(table), "Plonka sum must be a quasi rack"
     # f i == z == i f and z f == f put f in the group of z (then z z == z
     # and f z == f); i z == i puts i there, as the inverse of f
     for f, z, i in zip(table, zero, inv):
-        assert compose(f, i) == z == compose(i, f) and compose(z, f) == f and compose(i, z) == i
+        for y, w, j in zip(f, z, i):
+            assert f[j] == w == i[y] and z[y] == y and i[w] == j
     assert idempotents_central(zero, table)
-    q = QuasiRack(table, tuple(inv), tuple(zero))
+    q = QuasiRack(tuple(table), tuple(inv), tuple(zero))
     assert check_star(q) and check_starstarstar(q)
     # the fibers are racks, so each is a quandle iff its diagonal is fixed
     if all(f[i][i] == i for f in fibers for i in range(len(f))):

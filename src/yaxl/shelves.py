@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .fnmap import FnMap, compose, is_permutation, regular_family, zeros_multiplicative
@@ -38,12 +39,14 @@ def validate_table(table) -> Magma:
 def is_left_shelf(table: Magma) -> bool:
     """x |> (y |> z) == (x |> y) |> (x |> z) for all triples.
 
-    Checked in row form: L_x L_y == L_{x |> y} L_x, for one x and all y at once.
+    Checked in row form: L_x L_y == L_{x |> y} L_x, for one x and all y at
+    once; the left side gathers the flattened table through row x in C.
     """
+    if len(table) <= 1:  # a shelf; itemgetter of one index returns a scalar
+        return True
+    through = itemgetter(*[v for row in table for v in row])
     for row_x in table:
-        if [row_x[v] for row_y in table for v in row_y] != [
-            row_t[v] for row_t in [table[t] for t in row_x] for v in row_x
-        ]:
+        if list(through(row_x)) != [table[t][v] for t in row_x for v in row_x]:
             return False
     return True
 

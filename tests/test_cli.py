@@ -114,6 +114,13 @@ def test_enumerate_guard(capsys):
         _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", [["enumerate", "--n", "3", "--class", "rack"], ["table1"]])
+def test_workers_below_one_are_refused(capsys, command):
+    for workers in ("0", "-2"):
+        assert main(command + ["--workers", workers]) == 2
+        _assert_one_line_error(capsys)
+
+
 def test_table1(capsys):
     assert main(["table1"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -91,6 +91,11 @@ def test_completely_regular_map_count():
         assert sum(1 for f in itertools.product(range(n), repeat=n) if is_completely_regular(f)) == count
 
 
+def test_relative_inverse_on_at_most_one_point():
+    assert relative_inverse(()) == ((), (), ())
+    assert relative_inverse((0,)) == ((0,), (0,), (0,))
+
+
 def test_relative_inverse_identities():
     # every map on at most 6 points, against the naive definitions
     for n in range(7):

@@ -160,11 +160,14 @@ def test_three_point_semilattice_v_shape():
 def test_checked_sum_is_the_general_quasi_rack_structure():
     # the closed forms checked_sum builds are what the generic
     # relative-inverse computation finds on the sum's table
-    systems = 0
+    systems = one_point = 0
     for p in all_rack_systems(3, 2):
         assert checked_sum(p) == quasi_rack_structure(semilattice_sum(p))
         systems += 1
+        one_point += any(len(f) == 1 for f in p.fibers)
     assert systems == 368
+    # one-point racks are among the fibers (a one-cell translation to invert)
+    assert one_point == 87
 
 
 def test_each_call_checks_the_system_afresh():

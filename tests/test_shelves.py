@@ -187,6 +187,16 @@ def test_quasi_structure_transports(table, perm):
     assert check_starstarstar(q1) == check_starstarstar(q2)
 
 
+def test_is_left_shelf_matches_oracle_on_every_table_n0_to_2():
+    # carriers of at most one point are decided without gathering
+    for n in range(3):
+        rows = list(itertools.product(range(n), repeat=n))
+        tables = list(itertools.product(rows, repeat=n))
+        assert len(tables) == n ** (n * n)
+        for table in tables:
+            assert is_left_shelf(table) == is_self_distributive(table)
+
+
 def test_kernels_match_oracles_on_every_table_n3():
     rows = list(itertools.product(range(3), repeat=3))
     for table in itertools.product(rows, repeat=3):
