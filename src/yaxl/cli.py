@@ -106,7 +106,10 @@ def _check_solution(s) -> dict:
             "right_nondegenerate": flags.right_nd,
         }
     )
-    report["quasi_bijective"] = solutions.quasi_bijective(s) is not None
+    inv = solutions.quasi_bijective(s)
+    report["quasi_bijective"] = inv is not None
+    if inv is not None:
+        report["relative_inverse_is_solution"] = solutions.is_solution(inv)
     d = solutions.quasi_left_nondeg(s)
     report["quasi_left_nondegenerate"] = d is not None
     report["quasi_right_nondegenerate"] = solutions.quasi_right_nondeg(s) is not None

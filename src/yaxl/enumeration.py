@@ -5,9 +5,10 @@ searches.
 One engine, ``_place``, places rows one at a time: it walks each row's
 candidate bitmask low bit first, intersects per-candidate compatibility
 masks down the tree and calls a placement check after each row.  It
-has three callers: the labeled-table search (``_search_labeled``), the
-lambda and rho families of quasi classes (``_quasi_families``), and the
-rho tables of the second open-question search.
+has two callers: the labeled-table search (``_search_labeled``), which
+also yields the lambda families of the open-question searches (quasi
+rack rows without the self-distributivity checks), and the rho tables
+of the second open-question search.
 
 The labeled search places left-translation rows.  Candidate rows are
 permutations (rack/quandle), completely regular maps (quasi classes) or
@@ -206,14 +207,19 @@ def _first_row_minima(n: int, maps, row_cands) -> list:
 
 
 def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False,
-                    least=None):
+                    least=None, shelf: bool = True):
     """Yield every labeled table of the class, depth-first.
 
     ``first_rows`` restricts row 0 to the given indices into its
     candidate list (used to split the tree across workers).  With
     ``canonical``, only the tables that no relabeling makes smaller are
     yielded, in the same order; ``least`` passes the class's
-    ``_first_row_minima`` when the caller has them already.
+    ``_first_row_minima`` when the caller has them already.  With
+    ``shelf=False`` the self-distributivity checks are off: a quasi
+    class then yields every family of completely regular maps whose
+    idempotents commute with every member (the lambda families of the
+    open-question searches), with ``canonical`` one per simultaneous
+    relabeling class.
     """
     base, row_cands = _row_candidates(n, klass)
     maps = [f for f, _ in base]
@@ -251,7 +257,7 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
     def place_ok(rows, k: int) -> bool:
         # ``forced`` decides every pair with x < k; the pairs with x = k remain
         mk = rows[k]
-        for y in range(k + 1):
+        for y in range(k + 1 if shelf else 0):
             t = mk[y]
             if t <= k:
                 my, mt = rows[y], rows[t]
@@ -288,7 +294,7 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
         # The candidates f = L_k that meet every pair (x, y) with x < k
         # whose rows are placed once L_k is.
         only = not_below(k, rows[0]) if canonical and k else -1
-        for x in range(k):
+        for x in range(k if shelf else 0):
             mx = rows[x]
             t = mx[k]
             if t < k:  # L_x f = L_t L_x
@@ -306,7 +312,8 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
                 return 0
         return only
 
-    yield from _place(maps, row_masks, compat, place_ok, forced)
+    checks = (place_ok, forced) if shelf or canonical else ()
+    yield from _place(maps, row_masks, compat, *checks)
 
 
 def quasi_rack_profile(q: QuasiRack) -> dict:
@@ -451,17 +458,6 @@ def _report(question: str, n: int, exhaustive: bool, seed, counted: str, checked
     }
 
 
-def _quasi_families(n: int, cands):
-    """Families (f_0, ..., f_{n-1}) of completely regular maps whose
-    idempotents commute with every member, in candidate order.
-
-    ``cands`` is a list of (map, zero) pairs; the members of a family
-    are pairwise compatible under ``_compat_masks``.
-    """
-    full = (1 << len(cands)) - 1
-    yield from _place([f for f, _ in cands], [full] * n, _compat_masks(cands))
-
-
 def _cell_values(f, x: int, y: int) -> list:
     """The values c with f_x f_y = f_{f_x(y)} f_c, in increasing order.
 
@@ -482,19 +478,17 @@ def _partner_masks(families) -> list:
     """Bit j of entry i is set iff family j, as the partner of family i,
     has every entry g[y][x] among ``_cell_values(f_i, x, y)``.
 
-    The families are indexed once as bitmasks keyed by (y, x, value).
+    The families are indexed once, flattened: cell (y, x) is entry
+    y * n + x of ``_value_index``.
     """
-    index: dict = {}
-    for j, g in enumerate(families):
-        for y, gy in enumerate(g):
-            for x, v in enumerate(gy):
-                index[y, x, v] = index.get((y, x, v), 0) | 1 << j
+    n = len(families[0])
+    at = _value_index([sum(g, ()) for g in families])
     masks = []
     for f in families:
-        mask = (1 << len(families)) - 1
-        for x, y in itertools.product(range(len(f)), repeat=2):
+        mask = -1
+        for x, y in itertools.product(range(n), repeat=2):
             # one value per cell, so the masks of distinct values are disjoint
-            mask &= sum(index.get((y, x, c), 0) for c in _cell_values(f, x, y))
+            mask &= sum(at[y * n + x][c] for c in _cell_values(f, x, y))
         masks.append(mask)
     return masks
 
@@ -537,11 +531,10 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     that no counterexample was found among the structures checked.
     """
     exhaustive = _exhaustive(n, seed, samples)
-    cands = _regular_candidates(n)
     candidates = []
     checked = 0
     if exhaustive:
-        families = list(_quasi_families(n, cands))
+        families = list(_search_labeled(n, "quasi_rack", shelf=False))
         checked = len(families) ** 2
         partners = _partner_masks(families)
         for i, lam in enumerate(families):
@@ -560,6 +553,7 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
                     candidates.append(s)
     else:
         rng = random.Random(seed)
+        cands = _regular_candidates(n)
         compat = _compat_masks(cands)
         picks = range(len(cands))
         for _ in range(samples):
@@ -604,7 +598,6 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     answer.
     """
     exhaustive = _exhaustive(n, seed, samples)
-    cr = _regular_candidates(n)
     all_maps = list(itertools.product(range(n), repeat=n))
     candidates = []
     checked = 0
@@ -620,12 +613,14 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
 
     if exhaustive:
         span = range(n)
-        for lam in _quasi_families(n, cr):
-            cells = [[_cell_values(lam, x, y) for x in span] for y in span]
-            row_masks = [
-                sum(1 << i for i, f in enumerate(all_maps) if all(f[x] in cy[x] for x in span))
-                for cy in cells
-            ]
+        at = _value_index(all_maps)
+        for lam in _search_labeled(n, "quasi_rack", shelf=False):
+            row_masks = []
+            for y in span:
+                mask = -1
+                for x in span:
+                    mask &= sum(at[x][c] for c in _cell_values(lam, x, y))
+                row_masks.append(mask)
 
             def third_component_ok(rows, k: int) -> bool:
                 for z in range(k + 1):
@@ -644,6 +639,7 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
                 consider(Solution(lam=lam, rho=rho))
     else:
         rng = random.Random(seed)
+        cr = _regular_candidates(n)
         for _ in range(samples):
             lam = tuple(f for f, _ in (rng.choice(cr) for _ in range(n)))
             rho = tuple(rng.choice(all_maps) for _ in range(n))

@@ -166,13 +166,9 @@ def opposite_right_quasi_rack(q: QuasiRack) -> Magma:
         raise ValueError("opposite structure requires L^0_x(x) = x")
     n = q.n
     table = tuple(tuple(q.L_inv[x][y] for x in range(n)) for y in range(n))
-    # right self-distributivity is guaranteed; keep it checked
-    assert all(
-        table[table[z][y]][x] == table[table[z][x]][table[y][x]]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
+    # right self-distributivity is guaranteed; keep it checked, as left
+    # self-distributivity of the transposed table
+    assert is_left_shelf(tuple(zip(*table)))
     return table
 
 

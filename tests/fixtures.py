@@ -11,6 +11,7 @@ from yaxl.constructions import (
     deformed_quasi_rack,
 )
 from yaxl.enumeration import enumerate_canonical
+from yaxl.solutions import Solution
 
 # L_0 = L_1 = const 0, L_2 = id: satisfies (*) but not (**)
 STAR_NOT_STARSTAR = ((0, 0, 0), (0, 0, 0), (0, 1, 2))
@@ -25,6 +26,14 @@ DS_NO_CONDITIONS = (
     (0, 1, 2, 3),
     (0, 1, 2, 0),
     (0, 0, 0, 0),
+)
+
+# 4-point solution r(x, y) = (lambda_x(y), rho_y(x)), quasi left and
+# right non-degenerate, whose pair map has a relative inverse r^- that
+# fails the braid identity at (x, y, z) = (2, 0, 1)
+INVERSE_NOT_A_SOLUTION = Solution(
+    lam=((0, 1, 1, 1), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3)),
+    rho=((2, 2, 2, 2), (0, 1, 2, 3), (0, 3, 2, 1), (0, 1, 2, 3)),
 )
 
 

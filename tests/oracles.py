@@ -35,6 +35,17 @@ def is_self_distributive(t):
     )
 
 
+def is_right_self_distributive(t):
+    """(z <| y) <| x == (z <| x) <| (y <| x) with z <| y = t[z][y]."""
+    n = len(t)
+    return all(
+        t[t[z][y]][x] == t[t[z][x]][t[y][x]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
 def naive_is_quasi_rack(t):
     """Plain definition: self-distributive, rows with a relative inverse,
     idempotents fg commuting with every row."""

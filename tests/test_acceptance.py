@@ -40,8 +40,7 @@ from yaxl.enumeration import (
     CLASSES,
     TABLE1_COLUMNS,
     TABLE1_EXPECTED,
-    _quasi_families,
-    _regular_candidates,
+    _search_labeled,
     cross_tabulate,
     enumerate_canonical,
     search_question1,
@@ -190,7 +189,7 @@ def test_braid_check_matches_component_oracle():
     fixtures = [derived_map(q) for q in all_quasi_racks(4)]
     for b in dual_weak_brace_fixtures(max_size=5, max_skew_order=4):
         fixtures += [brace_solution(b), brace_solution(opposite_brace(b))]
-    families = list(_quasi_families(2, _regular_candidates(2)))
+    families = list(_search_labeled(2, "quasi_rack", shelf=False))
     pairs = [Solution(lam=lam, rho=rho) for lam in families for rho in families]
     assert len(pairs) == 100
     fixtures += pairs

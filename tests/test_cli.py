@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import dihedral_quandle, trivial_quandle, two_chain_clifford
+from fixtures import INVERSE_NOT_A_SOLUTION, dihedral_quandle, trivial_quandle, two_chain_clifford
 from yaxl.cli import main
 from yaxl.constructions import SemilatticeSystem, cyclic_group, trivial_brace
 from yaxl.fnmap import identity
@@ -56,7 +56,28 @@ def test_check_solution(tmp_path, capsys):
     assert main(["check", "solution", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["solution"] and report["quasi_bijective"]
+    assert report["relative_inverse_is_solution"]
     assert report["A"] and report["B"] and report["C"]
+
+
+def test_check_solution_whose_relative_inverse_is_not_a_solution(tmp_path, capsys):
+    from yaxl.serialization import solution_to_text
+
+    path = write(tmp_path, "r.txt", solution_to_text(INVERSE_NOT_A_SOLUTION))
+    assert main(["check", "solution", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["solution"] and report["quasi_bijective"]
+    assert report["relative_inverse_is_solution"] is False
+    assert report["quasi_left_nondegenerate"] and report["quasi_right_nondegenerate"]
+
+
+def test_check_solution_without_relative_inverse(tmp_path, capsys):
+    # r(x, y) = (0, x) has no relative inverse, so no flag for one
+    path = write(tmp_path, "r.txt", "2\n0 0\n0 0\n\n0 1\n0 1\n")
+    assert main(["check", "solution", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quasi_bijective"] is False
+    assert "relative_inverse_is_solution" not in report
 
 
 def test_check_clifford_and_weak_brace(tmp_path, capsys):

@@ -27,7 +27,6 @@ from yaxl.enumeration import (
     _compat_masks,
     _partner_masks,
     _place,
-    _quasi_families,
     _regular_candidates,
     _search_labeled,
     quasi_rack_profile,
@@ -236,9 +235,19 @@ def test_compat_masks_match_the_pairwise_definition(n):
 def test_quasi_families_match_naive_filter():
     # same families in the same order: the search digests depend on it
     for n, count in ((1, 1), (2, 10), (3, 627)):
-        families = list(_quasi_families(n, _regular_candidates(n)))
+        families = list(_search_labeled(n, "quasi_rack", shelf=False))
         assert len(families) == count
         assert families == naive_quasi_families(n)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 6), (3, 117), (4, 19443)])
+def test_canonical_quasi_families(n, count):
+    # one lambda family per simultaneous relabeling class
+    families = list(_search_labeled(n, "quasi_rack", shelf=False, canonical=True))
+    assert len(families) == count
+    if n <= 3:
+        labeled = _search_labeled(n, "quasi_rack", shelf=False)
+        assert families == [f for f in labeled if is_canonical(f)]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,5 +1,6 @@
-"""Every name a ``yaxl`` module imports at top level is used in it, and
-every private top-level function or class is read by some module."""
+"""Every name a ``yaxl`` module imports at top level is used in it,
+every private top-level function or class is read by some module, and
+the row-placement engine has only its two callers."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,29 @@ def test_the_gate_flags_an_unused_private_definition():
 
 def test_no_unused_private_definitions():
     assert unused_private_definitions([path.read_text() for path in SRC]) == []
+
+
+def placement_callers(sources: list) -> list:
+    """The top-level definition (or ``<module>``) around each reference
+    to ``_place``, by name or as an attribute, in source order."""
+    callers = []
+    for source in sources:
+        for node in ast.parse(source).body:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Name) and sub.id == "_place") or (
+                    isinstance(sub, ast.Attribute) and sub.attr == "_place"
+                ):
+                    callers.append(getattr(node, "name", "<module>"))
+    return callers
+
+
+def test_the_gate_finds_every_placement_caller():
+    source = "def _place(): pass\ndef a():\n    _place()\n    def b(): _place()\nf = m._place\n"
+    assert placement_callers([source, "class C:\n    g = _place\n"]) == ["a", "a", "<module>", "C"]
+
+
+def test_place_has_two_callers():
+    # the labeled search (which also yields the lambda families) and
+    # Q2's rho tables; a third placement entry point fails here
+    callers = placement_callers([path.read_text() for path in SRC])
+    assert callers == ["_search_labeled", "search_question2"]

@@ -10,7 +10,14 @@ from fixtures import (
     dihedral_quandle,
     trivial_quandle,
 )
-from oracles import comp, is_self_distributive, naive_canonical_form, naive_is_quasi_rack, rack_homs
+from oracles import (
+    comp,
+    is_right_self_distributive,
+    is_self_distributive,
+    naive_canonical_form,
+    naive_is_quasi_rack,
+    rack_homs,
+)
 from yaxl.fnmap import compose, identity
 from yaxl.shelves import (
     are_isomorphic,
@@ -100,6 +107,31 @@ def test_opposite_right_quasi_rack():
     )
     with pytest.raises(ValueError):
         opposite_right_quasi_rack(quasi_rack_structure(STAR_NOT_STARSTAR))
+
+
+def test_opposite_right_quasi_rack_on_every_sss_quasi_rack_n1_to_4():
+    from yaxl.enumeration import enumerate_canonical
+
+    tables = [t for n in range(1, 5) for t in enumerate_canonical(n, "quasi_rack", {"starstarstar"})]
+    assert len(tables) == 108  # 1 + 3 + 13 + 91, Table 1's (***) column
+    for table in tables:
+        q = quasi_rack_structure(table)
+        t = opposite_right_quasi_rack(q)
+        n = q.n
+        assert t == tuple(tuple(q.L_inv[x][y] for x in range(n)) for y in range(n))
+        assert is_right_self_distributive(t)
+
+
+def test_transposed_left_shelf_is_right_self_distributive_n0_to_2():
+    # the kernel opposite_right_quasi_rack asserts with, on both verdicts
+    verdicts = set()
+    for n in range(3):
+        rows = list(itertools.product(range(n), repeat=n))
+        for table in itertools.product(rows, repeat=n):
+            verdict = is_right_self_distributive(table)
+            assert is_left_shelf(tuple(zip(*table))) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_relabel_and_canonical():

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import SSS_NOT_STAR, dihedral_quandle, trivial_quandle
-from oracles import naive_component_identities
+from fixtures import INVERSE_NOT_A_SOLUTION, SSS_NOT_STAR, dihedral_quandle, trivial_quandle
+from oracles import comp, naive_component_identities
 from yaxl.fnmap import compose, identity, relative_inverse
 from yaxl.shelves import derived_map, is_left_shelf, quasi_rack_structure
 from yaxl.solutions import (
@@ -93,6 +93,17 @@ def test_quasi_bijective_none():
     )
     assert is_solution(s)
     assert quasi_bijective(s) is None
+
+
+def test_relative_inverse_of_a_solution_need_not_be_a_solution():
+    s = INVERSE_NOT_A_SOLUTION
+    assert is_solution(s) and naive_component_identities(s.lam, s.rho)
+    assert quasi_nondeg(s) is not None
+    inv = quasi_bijective(s)
+    r, g = pair_map(s), pair_map(inv)
+    # fgf = f, gfg = g and fg = gf fix the relative inverse uniquely
+    assert comp(comp(r, g), r) == r and comp(comp(g, r), g) == g and comp(r, g) == comp(g, r)
+    assert not is_solution(inv) and not naive_component_identities(inv.lam, inv.rho)
 
 
 def test_quasi_nondegeneracy_sides():
