@@ -3,7 +3,8 @@
 A Plonka system is a semilattice with one rack per point and gluing rack
 homomorphisms downward; products are pushed to the meet fiber.  The sum
 is always a quasi rack satisfying (*) and (***), and every quasi rack
-with those two conditions splits back into such a system.
+with those two conditions splits back into such a system, whose sum is
+the quasi rack relabeled class by class.
 """
 
 from yaxl.plonka import PlonkaSystem, decompose, plonka_sum, roundtrip, sum_structure_check
@@ -31,4 +32,4 @@ q = quasi_rack_structure(table)
 back = decompose(q)
 print()
 print(f"decomposed into {back.points} fibers of sizes {[len(f) for f in back.fibers]}")
-print("roundtrip up to isomorphism:", roundtrip(q))
+print("sum equals the table relabeled class by class:", roundtrip(q))

@@ -22,6 +22,7 @@ from .shelves import (
     homomorphisms,
     is_hom,
     is_quasi_quandle,
+    is_rack,
     quasi_rack_structure,
     relabel,
     validate_table,
@@ -363,17 +364,25 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
     """Quasi rack on X x S with L_{(i,s)}(j,t) = (i |> j, alpha[i][j][s](t)).
 
     ``alpha[i][j][s]`` is a transformation of the fiber carrier.  The
-    three admissibility conditions are validated individually; the
-    element (i, s) is encoded as i * s_size + s.
+    base must be a rack, each alpha[i][j][s] a map on S, and the three
+    admissibility conditions are validated individually; the element
+    (i, s) is encoded as i * s_size + s.
     """
     rack = validate_table(rack)
+    if not is_rack(rack):
+        raise ValueError("the base of a cocycle extension must be a rack")
     n = len(rack)
     rng_x, rng_s = range(n), range(s_size)
+    if len(alpha) != n or any(len(row) != n or any(len(maps) != s_size for maps in row) for row in alpha):
+        raise ValueError("alpha must give one map on S per (i, j, s)")
     zeros = {}
     for i in rng_x:
         for j in rng_x:
             for s in rng_s:
-                triple = relative_inverse(alpha[i][j][s])
+                f = alpha[i][j][s]
+                if len(f) != s_size or any(type(v) is not int or not 0 <= v < s_size for v in f):
+                    raise ValueError(f"alpha[{i}][{j}]({s}) is not a map on S")
+                triple = relative_inverse(f)
                 if triple is None:
                     raise ValueError(
                         f"condition 1 fails: alpha[{i}][{j}]({s}) has no relative inverse"

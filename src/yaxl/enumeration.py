@@ -125,15 +125,13 @@ def _masks_of(at, m) -> tuple:
     return pre, commuting
 
 
-def _compat_masks(base, at=None) -> list:
+def _compat_masks(base, at) -> list:
     """Bit j of mask i is set iff the idempotent of candidate i commutes
     with map j and the idempotent of j with map i.
 
-    ``at`` is the ``_value_index`` of the maps, built if not given; the
-    maps commuting with each distinct idempotent are one ``_masks_of``.
+    ``at`` is the ``_value_index`` of the maps; the maps commuting with
+    each distinct idempotent are one ``_masks_of``.
     """
-    if at is None:
-        at = _value_index([f for f, _ in base])
     members: dict = {}
     for i, (_, z) in enumerate(base):
         members[z] = members.get(z, 0) | (1 << i)
@@ -554,7 +552,7 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     else:
         rng = random.Random(seed)
         cands = _regular_candidates(n)
-        compat = _compat_masks(cands)
+        compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
         picks = range(len(cands))
         for _ in range(samples):
             # lambda_0..lambda_{n-1}, then rho_0..rho_{n-1}

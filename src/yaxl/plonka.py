@@ -3,16 +3,14 @@ with gluing homomorphisms, and the converse decomposition of any quasi
 rack satisfying (*) and (***) into such a system.
 
 Global carrier elements are the fibers concatenated in semilattice-point
-order; fiber elements keep their ascending original order throughout so
-that roundtrips are deterministic.
+order; fiber elements keep their ascending original order throughout, so
+a decomposition sums back to its quasi rack under one known relabeling.
 """
 
 from __future__ import annotations
 
 from .constructions import (
     SemilatticeSystem,
-    is_semilattice,
-    semilattice_geq,
     semilattice_sum,
     sum_blocks,
     validate_system,
@@ -21,14 +19,13 @@ from .fnmap import compose, idempotents_central
 from .shelves import (
     Magma,
     QuasiRack,
-    are_isomorphic,
     check_star,
     check_starstarstar,
     derived_map,
-    is_hom,
     is_left_shelf,
     is_quasi_quandle,
     is_rack,
+    relabel,
 )
 
 # A Plonka system is a semilattice system whose fibers are racks.
@@ -92,63 +89,54 @@ def sum_structure_check(p: PlonkaSystem) -> dict:
     }
 
 
-def decompose(q: QuasiRack) -> PlonkaSystem:
-    """Split a quasi rack with (*) and (***) into a Plonka system.
+def _split(q: QuasiRack) -> tuple:
+    """The Plonka system of q, and whether its sum is q's table relabeled
+    by perm(a) = the offset of a's fiber + a's place in it.
 
-    The semilattice is the set of distinct idempotents L_a^0 under
-    composition; fibers are the L^0-classes with the restricted
-    operation; the gluing maps are x |-> L_b^0(x) for any b in the lower
-    class.
+    The class of a is the index of L_a^0 among the distinct idempotents
+    in first-appearance order, and a's place is its rank in the class.
+    The semilattice is the classes under composition of their
+    idempotents; the fibers are the classes with the restricted
+    operation; the gluing map from class i down to class j is
+    x |-> L_b^0(x) for any b in class j.
     """
     if not (check_star(q) and check_starstarstar(q)):
         raise ValueError("decomposition requires (*) and (***)")
-    n = q.n
-    zeros = []
-    for a in range(n):
-        if q.L_zero[a] not in zeros:
-            zeros.append(q.L_zero[a])
-    m = len(zeros)
-    index = {z: i for i, z in enumerate(zeros)}
-    meet = tuple(tuple(index[compose(zeros[i], zeros[j])] for j in range(m)) for i in range(m))
-    assert is_semilattice(meet)
-    classes = [[a for a in range(n) if q.L_zero[a] == zeros[i]] for i in range(m)]
-    local = {}
-    for i, cls in enumerate(classes):
-        for k, a in enumerate(cls):
-            local[a] = (i, k)
-    fibers = []
-    for i, cls in enumerate(classes):
-        table = []
-        for a in cls:
-            row = []
-            for b in cls:
-                j, k = local[q.table[a][b]]
-                assert j == i, "class is not closed under the operation"
-                row.append(k)
-            table.append(tuple(row))
-        fibers.append(tuple(table))
-    homs = {}
-    for i in range(m):
-        for j in range(m):
-            if not semilattice_geq(meet, i, j):
-                continue
-            f = []
-            for a in classes[i]:
-                jj, k = local[zeros[j][a]]
-                assert jj == j
-                f.append(k)
-            homs[(i, j)] = tuple(f)
-    # the projection onto classes is a shelf homomorphism into the meet
-    proj = tuple(local[a][0] for a in range(n))
-    assert is_hom(proj, q.table, meet)
-    p = PlonkaSystem(meet, tuple(fibers), homs)
+    index: dict = {}  # the distinct L^0, in first-appearance order
+    cls = [index.setdefault(z, len(index)) for z in q.L_zero]
+    zeros = list(index)
+    members = [[] for _ in zeros]
+    place = []
+    for a, c in enumerate(cls):
+        place.append(len(members[c]))
+        members[c].append(a)
+    meet = tuple(tuple(index[compose(z, w)] for w in zeros) for z in zeros)
+    fibers = tuple(tuple(tuple(place[q.table[a][b]] for b in ms) for a in ms) for ms in members)
+    homs = {
+        (i, j): tuple([place[zeros[j][a]] for a in members[i]])
+        for i, row in enumerate(meet)
+        for j, ij in enumerate(row)
+        if ij == j
+    }
+    p = PlonkaSystem(meet, fibers, homs)
     validate_system(p, is_rack)
+    off = p.offsets()
+    perm = [off[c] + k for c, k in zip(cls, place)]
+    return p, relabel(q.table, perm) == semilattice_sum(p)
+
+
+def decompose(q: QuasiRack) -> PlonkaSystem:
+    """Split a quasi rack with (*) and (***) into a Plonka system whose
+    sum is q relabeled class by class (``_split``), which is checked."""
+    p, back = _split(q)
+    if not back:
+        raise AssertionError("the sum of the decomposition is not the quasi rack")
     return p
 
 
 def roundtrip(q: QuasiRack) -> bool:
-    """The sum of decompose(q) is isomorphic to the original table."""
-    return are_isomorphic(semilattice_sum(decompose(q)), q.table)
+    """The sum of decompose(q) equals q's table, relabeled class by class."""
+    return _split(q)[1]
 
 
 def solution_as_strong_semilattice(p: PlonkaSystem) -> bool:

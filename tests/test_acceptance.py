@@ -56,6 +56,7 @@ from yaxl.plonka import (
     sum_structure_check,
 )
 from yaxl.shelves import (
+    are_isomorphic,
     canonical_form,
     check_star,
     check_starstar,
@@ -209,6 +210,8 @@ def test_plonka_suite():
         decomposed += 1
         p = decompose(q)
         assert roundtrip(q)
+        # the canonical-form route is the oracle for the relabeled equality
+        assert are_isomorphic(semilattice_sum(p), q.table)
         assert solution_as_strong_semilattice(p)
     assert decomposed == 63
     systems = 0

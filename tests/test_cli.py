@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import INVERSE_NOT_A_SOLUTION, dihedral_quandle, trivial_quandle, two_chain_clifford
 from yaxl.cli import main
-from yaxl.constructions import SemilatticeSystem, cyclic_group, trivial_brace
+from yaxl.constructions import SemilatticeSystem, cyclic_group, semilattice_sum, trivial_brace
 from yaxl.fnmap import identity
 from yaxl.plonka import PlonkaSystem
 from yaxl.serialization import (
@@ -437,6 +437,15 @@ def test_construct_plonka_sum_and_decompose(tmp_path, capsys):
     assert back.points == 2
     data = json.loads(open(dpath).read())
     assert "_provenance" in data and "input_sha256" in data["_provenance"]
+
+
+def test_decompose_has_no_size_cap(tmp_path):
+    # nine points: past the carriers that canonical forms accept
+    table = trivial_quandle(9)
+    path = write(tmp_path, "t9.txt", magma_to_text(table))
+    dpath = str(tmp_path / "dec.json")
+    assert main(["decompose", path, "-o", dpath]) == 0
+    assert semilattice_sum(plonka_from_json(open(dpath).read())) == table
 
 
 def test_decompose_requires_conditions(tmp_path):

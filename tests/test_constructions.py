@@ -215,8 +215,41 @@ def test_cocycle_extension_rejects():
     rack = dihedral_quandle(3)
     bad = (0, 0, 1)  # wait: fiber size 3, map not completely regular
     alpha = tuple(tuple(tuple(bad for _ in range(3)) for _ in range(3)) for _ in range(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="condition 1"):
         cocycle_extension(rack, 3, alpha)
+
+
+def over_a_point(*maps):
+    """The cocycle alpha[0][0][s] = maps[s] over the one-point rack."""
+    return ((tuple(maps),),)
+
+
+def test_cocycle_extension_rejects_conditions_2_and_3():
+    point = ((0,),)
+    # alpha_1 = swap: alpha_1 alpha_0 = const 1, but alpha_{alpha_1(0)} alpha_1 = id
+    with pytest.raises(ValueError, match="condition 2"):
+        cocycle_extension(point, 2, over_a_point((0, 0), (1, 0)))
+    # x |> y = x: the constant idempotents L^0_x do not commute
+    with pytest.raises(ValueError, match="condition 3"):
+        cocycle_extension(point, 2, over_a_point((0, 0), (1, 1)))
+    assert len(cocycle_extension(point, 2, over_a_point((0, 1), (0, 1)))) == 2
+
+
+@pytest.mark.parametrize("base", [((0, 0), (1, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0))])
+def test_cocycle_extension_rejects_a_base_that_is_not_a_rack(base):
+    # rows that are not permutations; permutation rows that do not distribute
+    n = len(base)
+    alpha = tuple(tuple(((0,),) for _ in range(n)) for _ in range(n))
+    with pytest.raises(ValueError, match="must be a rack"):
+        cocycle_extension(base, 1, alpha)
+
+
+@pytest.mark.parametrize("bad", [(0, 2), (0,), (-1, 0)])
+def test_cocycle_extension_rejects_alpha_that_is_not_a_map_on_s(bad):
+    with pytest.raises(ValueError, match="not a map on S"):
+        cocycle_extension(((0,),), 2, over_a_point(bad, (0, 1)))
+    with pytest.raises(ValueError, match="one map on S per"):
+        cocycle_extension(((0,),), 2, over_a_point((0, 1)))
 
 
 def test_weak_brace_validation():

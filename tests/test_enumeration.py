@@ -29,6 +29,7 @@ from yaxl.enumeration import (
     _place,
     _regular_candidates,
     _search_labeled,
+    _value_index,
     quasi_rack_profile,
 )
 from yaxl.fnmap import commutes
@@ -225,7 +226,8 @@ def test_cell_filter_drops_only_non_solutions():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_compat_masks_match_the_pairwise_definition(n):
     cands = _regular_candidates(n)
-    for (f, z), mask in zip(cands, _compat_masks(cands)):
+    at = _value_index([f for f, _ in cands])
+    for (f, z), mask in zip(cands, _compat_masks(cands, at)):
         expected = sum(
             1 << j for j, (g, w) in enumerate(cands) if commutes(z, g) and commutes(w, f)
         )

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,41 @@ def test_roundtrip_small():
     assert p2.points == 2
     assert sorted(len(f) for f in p2.fibers) == [1, 3]
     assert roundtrip(q)
+
+
+# decompose with a semilattice_sum that reverses the rows of the true sum,
+# run under python -O; the round-trip check must still raise
+WRONG_SUM = """
+import sys
+from yaxl import plonka
+from yaxl.shelves import quasi_rack_structure
+if __debug__:
+    sys.exit("not running under -O")
+true_sum = plonka.semilattice_sum
+plonka.semilattice_sum = lambda p: true_sum(p)[::-1]
+q = quasi_rack_structure({table!r})
+print("roundtrip", plonka.roundtrip(q))
+try:
+    plonka.decompose(q)
+except AssertionError as e:
+    print("raised:", e)
+"""
+
+
+def test_the_round_trip_check_fires_under_python_O():
+    table = plonka_sum(two_chain(trivial_quandle(1), dihedral_quandle(3), (0, 0, 0)))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_SUM.format(table=table)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "roundtrip False",
+        "raised: the sum of the decomposition is not the quasi rack",
+    ]
 
 
 def test_decompose_requires_conditions():
