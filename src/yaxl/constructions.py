@@ -12,10 +12,11 @@ labeled group tables validated by brute force).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .fnmap import FnMap, compose, idempotents_central, is_completely_regular, relative_inverse
+from .fnmap import FnMap, compose, regular_family, relative_inverse
 from .shelves import (
     Magma,
     canonical_form,
@@ -27,7 +28,7 @@ from .shelves import (
     relabel,
     validate_table,
 )
-from .solutions import Solution
+from .solutions import Solution, quasi_left_nondeg, structure_magma
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +91,9 @@ def groups_of_order(n: int):
 
 
 def is_group(table: Magma) -> bool:
-    n = len(table)
-    for a in range(n):
-        if len(set(table[a])) != n or len({table[x][a] for x in range(n)}) != n:
-            return False
-    return is_associative(table) and any(
-        all(table[e][x] == x and table[x][e] == x for x in range(n)) for e in range(n)
-    )
-
-
-def group_identity(table: Magma) -> int:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x for x in range(n)):
-            return e
-    raise ValueError("no identity element")
+    """An inverse semigroup with exactly one idempotent e: a a^- and a^- a
+    are idempotents, so both are e, which is then the identity."""
+    return is_inverse_semigroup(table) and sum(row[e] == e for e, row in enumerate(table)) == 1
 
 
 def labeled_groups(n: int):
@@ -205,10 +194,6 @@ class SemilatticeSystem:
             acc += len(f)
         return out
 
-    @property
-    def size(self) -> int:
-        return sum(len(f) for f in self.fibers)
-
 
 def _gluing_composes(meet: Magma, homs: dict) -> bool:
     """homs[(b, c)] o homs[(a, b)] == homs[(a, c)] for all a >= b >= c."""
@@ -273,7 +258,10 @@ def semilattice_sum(sys: SemilatticeSystem) -> Magma:
 def clifford_from_system(sys: SemilatticeSystem) -> CliffordTable:
     """The Clifford semigroup presented by a strong semilattice of groups."""
     validate_system(sys, is_group)
-    return clifford_table(semilattice_sum(sys))
+    try:
+        return clifford_table(semilattice_sum(sys))
+    except ValueError:
+        raise AssertionError("a strong semilattice of groups did not sum to a Clifford semigroup") from None
 
 
 def all_systems(fiber_choices, max_points: int = 3) -> Iterator[SemilatticeSystem]:
@@ -360,6 +348,10 @@ def constant_shelf(n: int, f: FnMap) -> Magma:
     return table
 
 
+def _sequence_of(seq, k: int) -> bool:
+    return isinstance(seq, Sequence) and len(seq) == k
+
+
 def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
     """Quasi rack on X x S with L_{(i,s)}(j,t) = (i |> j, alpha[i][j][s](t)).
 
@@ -373,14 +365,16 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
         raise ValueError("the base of a cocycle extension must be a rack")
     n = len(rack)
     rng_x, rng_s = range(n), range(s_size)
-    if len(alpha) != n or any(len(row) != n or any(len(maps) != s_size for maps in row) for row in alpha):
+    if not _sequence_of(alpha, n) or any(
+        not _sequence_of(row, n) or any(not _sequence_of(maps, s_size) for maps in row) for row in alpha
+    ):
         raise ValueError("alpha must give one map on S per (i, j, s)")
     zeros = {}
     for i in rng_x:
         for j in rng_x:
             for s in rng_s:
                 f = alpha[i][j][s]
-                if len(f) != s_size or any(type(v) is not int or not 0 <= v < s_size for v in f):
+                if not _sequence_of(f, s_size) or any(type(v) is not int or not 0 <= v < s_size for v in f):
                     raise ValueError(f"alpha[{i}][{j}]({s}) is not a map on S")
                 triple = relative_inverse(f)
                 if triple is None:
@@ -487,19 +481,11 @@ def weak_brace_validate(add: Magma, mul: Magma) -> dict:
 
 
 def make_weak_brace(add: Magma, mul: Magma) -> WeakBrace:
+    add, mul = validate_table(add), validate_table(mul)
     report = weak_brace_validate(add, mul)
     if not report["valid"]:
         raise ValueError(f"not a weak brace: {report}")
-    return WeakBrace(
-        validate_table(add),
-        validate_table(mul),
-        semigroup_inverses(add),
-        semigroup_inverses(mul),
-    )
-
-
-def is_dual(b: WeakBrace) -> bool:
-    return is_clifford(b.mul)
+    return WeakBrace(add, mul, semigroup_inverses(add), semigroup_inverses(mul))
 
 
 def trivial_brace(c: CliffordTable) -> WeakBrace:
@@ -541,16 +527,15 @@ def brace_solution(b: WeakBrace) -> Solution:
 def lambda_rho_clifford_check(b: WeakBrace) -> bool:
     """{lambda_x} and {rho_x} are Clifford subsemigroups of the map monoid:
     closed under composition, members completely regular, idempotent
-    members central within the set."""
-    lam = brace_lambda(b)
-    rho = brace_rho(b)
-    for family in (set(lam), set(rho)):
-        products = {compose(f, g) for f in family for g in family}
-        if not products <= family:
+    members central within the set.
+
+    In a closed family each member's idempotent f^0 is a power of f, hence
+    a member, so the idempotent members are exactly the f^0 that
+    ``regular_family`` tests against the family."""
+    for family in (set(brace_lambda(b)), set(brace_rho(b))):
+        if not {compose(f, g) for f in family for g in family} <= family:
             return False
-        if not all(is_completely_regular(f) for f in family):
-            return False
-        if not idempotents_central([f for f in family if compose(f, f) == f], family):
+        if regular_family(family) is None:
             return False
     return True
 
@@ -558,8 +543,6 @@ def lambda_rho_clifford_check(b: WeakBrace) -> bool:
 def brace_structure_shelf_check(b: WeakBrace) -> bool:
     """The structure magma of the brace solution must be x |> y = -x+y+x,
     the conjugation quasi quandle of the additive semigroup."""
-    from .solutions import quasi_left_nondeg, structure_magma
-
     s = brace_solution(b)
     d = quasi_left_nondeg(s)
     if d is None:
@@ -573,13 +556,8 @@ def brace_structure_shelf_check(b: WeakBrace) -> bool:
 def all_skew_braces(n: int) -> list:
     """Every pair of labeled group tables on {0..n-1} forming a weak brace
     (necessarily a skew brace: a single idempotent)."""
-    braces = []
-    tables = labeled_groups(n)
-    for add in tables:
-        for mul in tables:
-            if weak_brace_validate(add, mul)["valid"]:
-                braces.append(WeakBrace(add, mul, semigroup_inverses(add), semigroup_inverses(mul)))
-    return braces
+    pairs = itertools.product(labeled_groups(n), repeat=2)
+    return [make_weak_brace(add, mul) for add, mul in pairs if weak_brace_validate(add, mul)["valid"]]
 
 
 def dual_weak_brace_fixtures(max_size: int = 5, max_skew_order: int = 4) -> Iterator[WeakBrace]:

@@ -2,6 +2,10 @@
 profiles, and generators for Plonka systems of small racks."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from yaxl.constructions import (
     SemilatticeSystem,
@@ -12,6 +16,17 @@ from yaxl.constructions import (
 )
 from yaxl.enumeration import enumerate_canonical
 from yaxl.solutions import Solution
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args):
+    """Run this interpreter on ``args`` with the checkout's ``src`` on the
+    path and no bytecode written; the finished process, output captured."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
 
 # L_0 = L_1 = const 0, L_2 = id: satisfies (*) but not (**)
 STAR_NOT_STARSTAR = ((0, 0, 0), (0, 0, 0), (0, 1, 2))

@@ -176,6 +176,30 @@ def naive_is_completely_regular(f):
     return {f[x] for x in im} == im
 
 
+def naive_is_group(t):
+    """Latin rows and columns, associativity and a two-sided identity."""
+    span = range(len(t))
+    return (
+        all(len(set(t[a])) == len(t) == len({t[x][a] for x in span}) for a in span)
+        and all(t[t[a][b]][c] == t[a][t[b][c]] for a in span for b in span for c in span)
+        and any(all(t[e][x] == x == t[x][e] for x in span) for e in span)
+    )
+
+
+def naive_clifford_families(*families):
+    """Each family is closed under composition, every member is completely
+    regular, and every idempotent member commutes with every member."""
+    for family in map(set, families):
+        idems = [e for e in family if comp(e, e) == e]
+        if not (
+            all(comp(f, g) in family for f in family for g in family)
+            and all(naive_is_completely_regular(f) for f in family)
+            and all(comp(e, f) == comp(f, e) for e in idems for f in family)
+        ):
+            return False
+    return True
+
+
 def naive_pair_map(lam, rho):
     """r(x, y) = (lam[x][y], rho[y][x]) on the pairs, (x, y) -> x * n + y."""
     n = len(lam)

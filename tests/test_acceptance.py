@@ -25,11 +25,15 @@ from oracles import (
     brute_relative_inverses,
     naive_canonical_form,
     naive_class_tables,
+    naive_clifford_families,
     naive_component_identities,
 )
 from yaxl.constructions import dual_weak_brace_fixtures
 from yaxl.constructions import (
+    WeakBrace,
     all_systems,
+    brace_lambda,
+    brace_rho,
     brace_solution,
     brace_structure_shelf_check,
     lambda_rho_clifford_check,
@@ -238,6 +242,16 @@ def test_weak_brace_suite():
         assert lambda_rho_clifford_check(b)
         assert brace_structure_shelf_check(b)
     assert count == 84
+
+
+def test_brace_families_match_the_naive_clifford_check():
+    fixtures = list(dual_weak_brace_fixtures(max_size=5, max_skew_order=4))
+    # lambda = {const 0, const 1}: closed, but the idempotents do not commute
+    negative = WeakBrace(((0, 0), (1, 1)), ((0, 1), (0, 1)), (0, 1), (0, 1))
+    for b in fixtures + [opposite_brace(b) for b in fixtures] + [negative]:
+        expected = naive_clifford_families(brace_lambda(b), brace_rho(b))
+        assert lambda_rho_clifford_check(b) == expected, b
+    assert not lambda_rho_clifford_check(negative)
 
 
 def test_twist_suite():

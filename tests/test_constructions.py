@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from fixtures import deformed_fixture, dihedral_quandle, two_chain_clifford
-from oracles import naive_semilattices
+from fixtures import deformed_fixture, dihedral_quandle, run_python, two_chain_clifford
+from oracles import naive_is_group, naive_semilattices
 from yaxl.constructions import (
     SemilatticeSystem,
     all_skew_braces,
@@ -21,11 +21,9 @@ from yaxl.constructions import (
     cyclic_group,
     deformed_quasi_rack,
     dual_weak_brace_fixtures,
-    group_identity,
     group_fibers,
     groups_of_order,
     is_clifford,
-    is_dual,
     is_group,
     is_inverse_semigroup,
     is_semilattice,
@@ -50,6 +48,7 @@ from yaxl.shelves import (
     is_quasi_quandle,
     quasi_rack_structure,
 )
+from yaxl.serialization import system_to_json
 from yaxl.solutions import is_solution, pair_map, quasi_bijective
 from yaxl.fnmap import compose
 
@@ -87,7 +86,7 @@ def test_groups():
     for n in range(1, 5):
         for g in groups_of_order(n):
             assert is_group(g)
-            assert group_identity(g) == 0
+            assert clifford_table(g).idems == {0}
     assert not is_group(((0, 0), (0, 0)))
     assert len(list(homomorphisms(cyclic_group(4), cyclic_group(2)))) == 2
     assert len(list(homomorphisms(cyclic_group(2), klein_group()))) == 4
@@ -96,13 +95,14 @@ def test_groups():
 
 
 def test_labeled_group_counts():
-    # cross-check the small orders against the full n^(n^2) table space
+    # cross-check the small orders against the full n^(n^2) table space,
+    # where is_group must agree with the Latin-square definition
     for n in range(1, 4):
-        brute = sum(
-            1
-            for flat in itertools.product(range(n), repeat=n * n)
-            if is_group(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
-        )
+        brute = 0
+        for flat in itertools.product(range(n), repeat=n * n):
+            t = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            assert is_group(t) == naive_is_group(t), t
+            brute += is_group(t)
         assert len(labeled_groups(n)) == brute
 
 
@@ -148,6 +148,31 @@ def test_validate_system_errors():
     bad2[(1, 0)] = (1, 1)  # not a homomorphism (sends identity to 1)
     with pytest.raises(ValueError):
         validate_system(SemilatticeSystem(meet, (z2, z2), bad2), is_group)
+
+
+# clifford_from_system with a semilattice_sum that reverses the rows of the
+# true sum, run under python -O; the broken guarantee must still exit 3
+WRONG_CLIFFORD_SUM = """
+import sys
+from yaxl import cli, constructions
+if __debug__:
+    sys.exit("not running under -O")
+true_sum = constructions.semilattice_sum
+constructions.semilattice_sum = lambda s: true_sum(s)[::-1]
+sys.exit(cli.main(["construct", "clifford", sys.argv[1]]))
+"""
+
+
+def test_a_sum_that_is_not_clifford_fires_under_python_O(tmp_path):
+    homs = {(0, 0): (0, 1), (1, 1): (0, 1), (1, 0): (0, 1)}
+    path = tmp_path / "two_chain.json"
+    path.write_text(system_to_json(SemilatticeSystem(((0, 0), (0, 1)), (cyclic_group(2),) * 2, homs)))
+    done = run_python("-O", "-c", WRONG_CLIFFORD_SUM, str(path))
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.splitlines() == [
+        "internal error (theorem guarantee violated): "
+        "a strong semilattice of groups did not sum to a Clifford semigroup"
+    ]
 
 
 def test_all_systems_are_clifford():
@@ -252,6 +277,17 @@ def test_cocycle_extension_rejects_alpha_that_is_not_a_map_on_s(bad):
         cocycle_extension(((0,),), 2, over_a_point((0, 1)))
 
 
+@pytest.mark.parametrize(
+    "alpha, message",
+    [(5, "one map on S per"), ((5,), "one map on S per"), (((5,),), "one map on S per"),
+     ((((0, 1),),), "not a map on S")],
+)
+def test_cocycle_extension_rejects_alpha_that_is_not_a_sequence(alpha, message):
+    # over the one-point rack with |S| = 2; the last alpha gives the maps 0 and 1
+    with pytest.raises(ValueError, match=message):
+        cocycle_extension(((0,),), 2, alpha)
+
+
 def test_weak_brace_validation():
     c = two_chain_clifford()
     report = weak_brace_validate(c.mul, c.mul)
@@ -271,7 +307,7 @@ def test_weak_brace_validation():
 def test_trivial_and_opposite_braces():
     c = two_chain_clifford()
     for b in (trivial_brace(c), opposite_trivial_brace(c)):
-        assert is_dual(b)
+        assert is_clifford(b.mul)
         s = brace_solution(b)
         assert is_solution(s)
         assert quasi_bijective(s) is not None
@@ -303,7 +339,7 @@ def test_all_skew_braces_order_4():
     braces = all_skew_braces(4)
     assert len(braces) == 40
     for b in braces[:5]:
-        assert is_dual(b)
+        assert is_clifford(b.mul)
         assert is_solution(brace_solution(b))
 
 

@@ -1,21 +1,15 @@
 """Each demo script runs to completion."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from fixtures import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_python(str(ROOT / "demos" / demo))
     assert done.returncode == 0, done.stderr

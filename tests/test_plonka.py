@@ -1,8 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +7,7 @@ from fixtures import (
     STAR_NOT_STARSTAR,
     all_rack_systems,
     dihedral_quandle,
+    run_python,
     trivial_quandle,
 )
 from yaxl.constructions import semilattice_sum, validate_system
@@ -117,13 +114,7 @@ except AssertionError as e:
 
 def test_the_round_trip_check_fires_under_python_O():
     table = plonka_sum(two_chain(trivial_quandle(1), dihedral_quandle(3), (0, 0, 0)))
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", WRONG_SUM.format(table=table)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    done = run_python("-O", "-c", WRONG_SUM.format(table=table))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "roundtrip False",
