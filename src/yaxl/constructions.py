@@ -156,8 +156,10 @@ def is_inverse_semigroup(mul: Magma) -> bool:
 
 def is_clifford(mul: Magma) -> bool:
     """Inverse semigroup with all idempotents central."""
-    if not is_inverse_semigroup(mul):
-        return False
+    return is_inverse_semigroup(mul) and _idempotents_central(mul)
+
+
+def _idempotents_central(mul: Magma) -> bool:
     n = len(mul)
     idems = [e for e in range(n) if mul[e][e] == e]
     return all(mul[e][x] == mul[x][e] for e in idems for x in range(n))
@@ -447,21 +449,29 @@ class WeakBrace:
 
 def weak_brace_validate(add: Magma, mul: Magma) -> dict:
     """Full exhaustive law check; the report itemizes every failure."""
+    return _checked_brace(add, mul)[0]
+
+
+def _checked_brace(add: Magma, mul: Magma) -> tuple:
+    """The ``weak_brace_validate`` report and the brace, or None in its
+    place when the report is not valid; each table is validated and
+    its semigroup inverses are computed once."""
     add, mul = validate_table(add), validate_table(mul)
     n = len(add)
     if len(mul) != n:
         raise ValueError("add and mul tables differ in size")
+    add_inv = semigroup_inverses(add)
+    mul_inv = semigroup_inverses(mul)
+    # is_clifford(add) and is_inverse_semigroup(mul), given the inverses
     report = {
-        "add_clifford": is_clifford(add),
-        "mul_inverse_semigroup": is_inverse_semigroup(mul),
+        "add_clifford": add_inv is not None and is_associative(add) and _idempotents_central(add),
+        "mul_inverse_semigroup": mul_inv is not None and is_associative(mul),
         "distributivity_failures": [],
         "inverse_compat_failures": [],
     }
-    add_inv = semigroup_inverses(add)
-    mul_inv = semigroup_inverses(mul)
     if add_inv is None or mul_inv is None:
         report["valid"] = False
-        return report
+        return report, None
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -477,15 +487,14 @@ def weak_brace_validate(add: Magma, mul: Magma) -> dict:
         and not report["distributivity_failures"]
         and not report["inverse_compat_failures"]
     )
-    return report
+    return report, WeakBrace(add, mul, add_inv, mul_inv) if report["valid"] else None
 
 
 def make_weak_brace(add: Magma, mul: Magma) -> WeakBrace:
-    add, mul = validate_table(add), validate_table(mul)
-    report = weak_brace_validate(add, mul)
-    if not report["valid"]:
+    report, brace = _checked_brace(add, mul)
+    if brace is None:
         raise ValueError(f"not a weak brace: {report}")
-    return WeakBrace(add, mul, semigroup_inverses(add), semigroup_inverses(mul))
+    return brace
 
 
 def trivial_brace(c: CliffordTable) -> WeakBrace:
@@ -556,8 +565,8 @@ def brace_structure_shelf_check(b: WeakBrace) -> bool:
 def all_skew_braces(n: int) -> list:
     """Every pair of labeled group tables on {0..n-1} forming a weak brace
     (necessarily a skew brace: a single idempotent)."""
-    pairs = itertools.product(labeled_groups(n), repeat=2)
-    return [make_weak_brace(add, mul) for add, mul in pairs if weak_brace_validate(add, mul)["valid"]]
+    braces = (_checked_brace(add, mul)[1] for add, mul in itertools.product(labeled_groups(n), repeat=2))
+    return [b for b in braces if b is not None]
 
 
 def dual_weak_brace_fixtures(max_size: int = 5, max_skew_order: int = 4) -> Iterator[WeakBrace]:

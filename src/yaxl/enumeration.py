@@ -64,7 +64,6 @@ from .shelves import (
     check_starstar,
     check_starstarstar,
     derived_map,
-    is_rack,
     quasi_rack_structure,
 )
 from .solutions import Solution, abc_family, is_solution, quasi_bijective, structure_magma
@@ -326,11 +325,29 @@ def quasi_rack_profile(q: QuasiRack) -> dict:
     }
 
 
-def _passes_filters(table, filters) -> bool:
-    if not filters:
-        return True
-    q = quasi_rack_structure(table)
-    assert q is not None
+def _searched_quasi_racks(tables):
+    """Yield the ``QuasiRack`` of each table, in order, for tables that
+    the quasi-class search yielded.
+
+    The search has already decided that each table is a left shelf and
+    that its idempotents are central, so neither is checked again.  Each
+    distinct row is inverted once per call: the triples are kept, keyed
+    by the row itself, only while the generator runs.
+    """
+    triples: dict = {}
+    for table in tables:
+        row_triples = []
+        for row in table:
+            t = triples.get(row)
+            if t is None:
+                t = triples[row] = relative_inverse(row)
+                if t is None:
+                    raise AssertionError(f"a searched quasi-rack row is not completely regular: {row}")
+            row_triples.append(t)
+        yield QuasiRack(table, tuple(t.inv for t in row_triples), tuple(t.zero for t in row_triples))
+
+
+def _passes_filters(q: QuasiRack, filters) -> bool:
     profile = quasi_rack_profile(q)
     return all(profile[f] for f in filters)
 
@@ -370,7 +387,8 @@ def enumerate_canonical(
             work = functools.partial(_worker, least)
             for part in pool.map(work, [(n, klass, c) for c in chunks]):
                 survivors.extend(part)
-    survivors = [t for t in survivors if _passes_filters(t, filters)]
+    if filters:
+        survivors = [q.table for q in _searched_quasi_racks(survivors) if _passes_filters(q, filters)]
     survivors.sort()
     return survivors
 
@@ -395,11 +413,12 @@ def cross_tabulate(n: int, workers: int = 1) -> dict:
         "starstarstar_minus_starstar": 0,
         "ds_minus_star_or_starstar": 0,
     }
-    for table in enumerate_canonical(n, "quasi_rack", workers=workers):
-        st, ss, sss, ds = quasi_rack_profile(quasi_rack_structure(table)).values()
+    identity = tuple(range(n))
+    for q in _searched_quasi_racks(enumerate_canonical(n, "quasi_rack", workers=workers)):
+        st, ss, sss, ds = quasi_rack_profile(q).values()
         counts["qr"] += 1
-        if is_rack(table):
-            counts["r"] += 1
+        # a completely regular map is a permutation iff its idempotent is the identity
+        counts["r"] += all(z == identity for z in q.L_zero)
         counts["ds"] += ds
         counts["qr_star"] += st
         counts["qr_starstar"] += ss

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from yaxl import constructions
 from fixtures import deformed_fixture, dihedral_quandle, run_python, two_chain_clifford
 from oracles import naive_is_group, naive_semilattices
 from yaxl.constructions import (
@@ -302,6 +303,27 @@ def test_weak_brace_validation():
     assert report["distributivity_failures"] and report["inverse_compat_failures"]
     with pytest.raises(ValueError):
         make_weak_brace(cyclic_group(3), shifted)
+
+
+def test_make_weak_brace_checks_each_table_once(monkeypatch):
+    calls = {"semigroup_inverses": 0, "validate_table": 0}
+
+    def counting(name):
+        fn = getattr(constructions, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    c = two_chain_clifford()
+    for name in calls:
+        monkeypatch.setattr(constructions, name, counting(name))
+    b = make_weak_brace(c.mul, c.mul)
+    # one of each per table: the report and the brace share them
+    assert calls == {"semigroup_inverses": 2, "validate_table": 2}
+    assert (b.add_inv, b.mul_inv) == (c.inv, c.inv)
 
 
 def test_trivial_and_opposite_braces():

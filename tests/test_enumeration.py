@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import random
+import sys
 from math import factorial
 
 import pytest
 
+from fixtures import run_python
 from oracles import (
     naive_automorphism_count,
     naive_canonical_form,
@@ -13,7 +15,7 @@ from oracles import (
     naive_question1,
     naive_question2,
 )
-from yaxl import enumeration, shelves
+from yaxl import cli, enumeration, fnmap, shelves
 from yaxl.enumeration import (
     CLASSES,
     FILTERS,
@@ -33,7 +35,7 @@ from yaxl.enumeration import (
     quasi_rack_profile,
 )
 from yaxl.fnmap import commutes
-from yaxl.shelves import canonical_form, is_canonical, is_quandle, quasi_rack_structure
+from yaxl.shelves import canonical_form, is_canonical, is_quandle, is_rack, quasi_rack_structure
 from yaxl.solutions import Solution, is_solution
 
 
@@ -165,6 +167,85 @@ def test_cross_tabulate_consistency():
     # the enumeration's size guard refuses n = 6
     with pytest.raises(ValueError):
         cross_tabulate(6)
+
+
+@pytest.mark.parametrize("klass, count", [("quasi_rack", 325), ("quasi_quandle", 62)])
+def test_searched_quasi_racks_match_quasi_rack_structure(klass, count):
+    tables = enumerate_canonical(4, klass)
+    assert len(tables) == count
+    identity = tuple(range(4))
+    quasi_racks = list(enumeration._searched_quasi_racks(tables))
+    assert [q.table for q in quasi_racks] == tables
+    for q in quasi_racks:
+        assert q == quasi_rack_structure(q.table)
+        # cross_tabulate's rack test: every idempotent is the identity
+        assert all(z == identity for z in q.L_zero) == is_rack(q.table)
+
+
+def _rebind(monkeypatch, fn, replacement):
+    """Replace ``fn`` under every name that a yaxl module binds it to."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("yaxl."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def test_table1_builds_no_quasi_rack_structure(monkeypatch, capsys):
+    # the search has decided self-distributivity and central idempotents
+    def boom(*args):
+        raise AssertionError("table1 re-checked a searched quasi rack")
+
+    for fn in (shelves.quasi_rack_structure, fnmap.regular_family, shelves.is_left_shelf):
+        _rebind(monkeypatch, fn, boom)
+    assert cli.main(["table1"]) == 0
+    assert '"match": true' in capsys.readouterr().out
+
+
+def test_table1_inverts_each_distinct_row_once(monkeypatch, capsys):
+    calls = []
+    relative_inverse = fnmap.relative_inverse
+
+    def counting(f):
+        calls.append(f)
+        return relative_inverse(f)
+
+    _rebind(monkeypatch, relative_inverse, counting)
+    assert cli.main(["table1"]) == 0
+    # the search's candidate index inverts all n^n maps, n = 2, 3, 4
+    assert len(calls) == 4 + 27 + 256 + 60
+    capsys.readouterr()
+    # the cross-tabulation alone: one call per distinct row of each n's
+    # canonical quasi racks (1,403 rows, one call per row, before)
+    tables = {n: enumerate_canonical(n, "quasi_rack") for n in (2, 3, 4)}
+    monkeypatch.setattr(enumeration, "enumerate_canonical", lambda n, *args, **kwargs: tables[n])
+    calls.clear()
+    for n in (2, 3, 4):
+        assert table1_row(n) == TABLE1_EXPECTED[n]
+    assert len(calls) == len(set(calls)) == sum(len({row for t in tables[n] for row in t}) for n in tables)
+    assert len(calls) == 60
+
+
+# the helper fed a row that is not completely regular, run under python -O;
+# the broken search guarantee must still raise
+NOT_REGULAR = """
+import sys
+from yaxl import enumeration
+if __debug__:
+    sys.exit("not running under -O")
+try:
+    list(enumeration._searched_quasi_racks([((0, 0, 1), (0, 1, 2), (0, 1, 2))]))
+except AssertionError as e:
+    print("raised:", e)
+"""
+
+
+def test_a_row_that_is_not_completely_regular_fires_under_python_O():
+    done = run_python("-O", "-c", NOT_REGULAR)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "raised: a searched quasi-rack row is not completely regular: (0, 0, 1)"
+    ]
 
 
 def test_search_question1_small():
