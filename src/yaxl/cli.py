@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a checked property is false, 2 bad input,
-3 internal assertion failure (a theorem guarantee was violated — should
-never happen).
+3 a theorem guarantee (``fnmap.guarantee``) was violated, also under
+``python -O`` — should never happen.
 
 Artifacts written by a command carry a provenance record: the SHA-256 of
 the input file, the tool version, and the seed for randomized commands.
@@ -77,10 +77,10 @@ def _check_shelf(table) -> dict:
     report = {"left_shelf": shelves.is_left_shelf(table)}
     if not report["left_shelf"]:
         return report
-    report["rack"] = shelves.is_rack(table)
-    report["quandle"] = shelves.is_quandle(table)
     q = shelves.quasi_rack_structure(table)
-    report["quasi_rack"] = q is not None
+    # a rack is a quasi rack whose idempotents are all the identity
+    rack = q is not None and all(z == tuple(range(q.n)) for z in q.L_zero)
+    report.update(rack=rack, quandle=rack and shelves.is_quasi_quandle(q), quasi_rack=q is not None)
     if q is None:
         return report
     report["quasi_quandle"] = shelves.is_quasi_quandle(q)
@@ -130,16 +130,14 @@ def cmd_check(args) -> int:
         ok = report["solution"]
     elif args.kind == "clifford":
         table = _load("magma", text)
-        report = {
-            "inverse_semigroup": constructions.is_inverse_semigroup(table),
-            "clifford": constructions.is_clifford(table),
-        }
-        ok = report["clifford"]
+        inverse = constructions.is_inverse_semigroup(table)
+        ok = inverse and constructions.idempotents_commute(table)
+        report = {"inverse_semigroup": inverse, "clifford": ok}
     elif args.kind == "weak-brace":
         add, mul = serialization.weak_brace_tables(text)
         report = constructions.weak_brace_validate(add, mul)
         if report["valid"]:
-            report["dual"] = constructions.is_clifford(mul)
+            report["dual"] = report["mul_inverse_semigroup"] and constructions.idempotents_commute(mul)
         ok = report["valid"]
     elif args.kind == "twist":
         t = serialization.twist_from_json(text)

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .fnmap import FnMap, compose, regular_family, relative_inverse
+from .fnmap import FnMap, compose, guarantee, regular_family, relative_inverse
 from .shelves import (
     Magma,
     canonical_form,
@@ -156,22 +156,28 @@ def is_inverse_semigroup(mul: Magma) -> bool:
 
 def is_clifford(mul: Magma) -> bool:
     """Inverse semigroup with all idempotents central."""
-    return is_inverse_semigroup(mul) and _idempotents_central(mul)
+    return is_inverse_semigroup(mul) and idempotents_commute(mul)
 
 
-def _idempotents_central(mul: Magma) -> bool:
+def idempotents_commute(mul: Magma) -> bool:
     n = len(mul)
     idems = [e for e in range(n) if mul[e][e] == e]
     return all(mul[e][x] == mul[x][e] for e in idems for x in range(n))
 
 
-def clifford_table(mul: Magma) -> CliffordTable:
-    mul = validate_table(mul)
-    if not is_clifford(mul):
-        raise ValueError("table is not a Clifford semigroup")
+def _clifford(mul: Magma) -> Optional[CliffordTable]:
+    """The Clifford semigroup on a valid table, or None; one inverse search."""
     inv = semigroup_inverses(mul)
-    idems = frozenset(e for e in range(len(mul)) if mul[e][e] == e)
-    return CliffordTable(mul, inv, idems)
+    if inv is None or not (is_associative(mul) and idempotents_commute(mul)):
+        return None
+    return CliffordTable(mul, inv, frozenset(e for e in range(len(mul)) if mul[e][e] == e))
+
+
+def clifford_table(mul: Magma) -> CliffordTable:
+    c = _clifford(validate_table(mul))
+    if c is None:
+        raise ValueError("table is not a Clifford semigroup")
+    return c
 
 
 @dataclass(frozen=True)
@@ -260,10 +266,9 @@ def semilattice_sum(sys: SemilatticeSystem) -> Magma:
 def clifford_from_system(sys: SemilatticeSystem) -> CliffordTable:
     """The Clifford semigroup presented by a strong semilattice of groups."""
     validate_system(sys, is_group)
-    try:
-        return clifford_table(semilattice_sum(sys))
-    except ValueError:
-        raise AssertionError("a strong semilattice of groups did not sum to a Clifford semigroup") from None
+    c = _clifford(semilattice_sum(sys))
+    guarantee(c is not None, "a strong semilattice of groups did not sum to a Clifford semigroup")
+    return c
 
 
 def all_systems(fiber_choices, max_points: int = 3) -> Iterator[SemilatticeSystem]:
@@ -309,7 +314,7 @@ def conjugation_quasi_quandle(c: CliffordTable) -> Magma:
         tuple(mul[mul[inv[x]][y]][x] for y in range(c.n)) for x in range(c.n)
     )
     q = quasi_rack_structure(table)
-    assert q is not None and is_quasi_quandle(q)
+    guarantee(q is not None and is_quasi_quandle(q), "a conjugation x^- y x is not a quasi quandle")
     return table
 
 
@@ -320,7 +325,7 @@ def core_quasi_quandle(c: CliffordTable) -> Magma:
         tuple(mul[mul[x][inv[y]]][x] for y in range(c.n)) for x in range(c.n)
     )
     q = quasi_rack_structure(table)
-    assert q is not None and is_quasi_quandle(q)
+    guarantee(q is not None and is_quasi_quandle(q), "a core x y^- x is not a quasi quandle")
     return table
 
 
@@ -334,8 +339,8 @@ def deformed_quasi_rack(c: CliffordTable, e: int) -> Magma:
         tuple(mul[mul[mul[inv[x]][y]][x]][e] for y in range(c.n)) for x in range(c.n)
     )
     q = quasi_rack_structure(table)
-    assert q is not None
-    assert all(q.L_inv[x] == table[inv[x]] for x in range(c.n))
+    guarantee(q is not None, "a deformed conjugation x^- y x e is not a quasi rack")
+    guarantee(all(q.L_inv[x] == table[inv[x]] for x in range(c.n)), "a deformed L_x^- is not L_{x^-}")
     return table
 
 
@@ -346,7 +351,7 @@ def constant_shelf(n: int, f: FnMap) -> Magma:
     if len(f) != n:
         raise ValueError("size mismatch")
     table = tuple(tuple(f) for _ in range(n))
-    assert quasi_rack_structure(table) is not None
+    guarantee(quasi_rack_structure(table) is not None, "a constant shelf is not a quasi rack")
     return table
 
 
@@ -421,13 +426,10 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
                     row[j * s_size + t] = rack[i][j] * s_size + a[t]
     table = tuple(tuple(row) for row in table)
     q = quasi_rack_structure(table)
-    assert q is not None
-    for i in rng_x:
-        for s in rng_s:
-            z = q.L_zero[i * s_size + s]
-            for j in rng_x:
-                for t in rng_s:
-                    assert z[j * s_size + t] == j * s_size + zeros[(i, j, s)][t]
+    guarantee(q is not None, "a cocycle extension of a rack is not a quasi rack")
+    zeros_ok = all(q.L_zero[i * s_size + s][j * s_size + t] == j * s_size + zeros[(i, j, s)][t]
+                   for i in rng_x for s in rng_s for j in rng_x for t in rng_s)
+    guarantee(zeros_ok, "L^0_(i,s) of a cocycle extension is not (j, t) -> (j, alpha[i][j][s]^0(t))")
     return table
 
 
@@ -464,7 +466,7 @@ def _checked_brace(add: Magma, mul: Magma) -> tuple:
     mul_inv = semigroup_inverses(mul)
     # is_clifford(add) and is_inverse_semigroup(mul), given the inverses
     report = {
-        "add_clifford": add_inv is not None and is_associative(add) and _idempotents_central(add),
+        "add_clifford": add_inv is not None and is_associative(add) and idempotents_commute(add),
         "mul_inverse_semigroup": mul_inv is not None and is_associative(mul),
         "distributivity_failures": [],
         "inverse_compat_failures": [],

@@ -57,7 +57,7 @@ import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 
-from .fnmap import relative_inverse
+from .fnmap import guarantee, relative_inverse
 from .shelves import (
     QuasiRack,
     check_star,
@@ -341,8 +341,7 @@ def _searched_quasi_racks(tables):
             t = triples.get(row)
             if t is None:
                 t = triples[row] = relative_inverse(row)
-                if t is None:
-                    raise AssertionError(f"a searched quasi-rack row is not completely regular: {row}")
+                guarantee(t is not None, f"a searched quasi-rack row is not completely regular: {row}")
             row_triples.append(t)
         yield QuasiRack(table, tuple(t.inv for t in row_triples), tuple(t.zero for t in row_triples))
 

@@ -37,6 +37,14 @@ class RegularFamily(NamedTuple):
     zero: tuple
 
 
+def guarantee(holds, what: str) -> None:
+    """Fail the theorem guarantee ``what`` unless it ``holds``: raise
+    ``AssertionError(what)``, which ``cli.main`` maps to exit code 3.
+    Unlike ``assert`` it also fires under ``python -O``."""
+    if not holds:
+        raise AssertionError(what)
+
+
 def identity(n: int) -> FnMap:
     return tuple(range(n))
 
@@ -89,7 +97,8 @@ def relative_inverse(f: FnMap) -> Optional[RegularTriple]:
     inv = tuple([back[z] for z in zero])
     # pointwise: zero f = f, inv f = zero = f inv, zero zero = zero, inv zero = inv
     for y, z, i in zip(f, zero, inv):
-        assert zero[y] == y and inv[y] == z == f[i] and zero[z] == z and inv[z] == i
+        if not (zero[y] == y and inv[y] == z == f[i] and zero[z] == z and inv[z] == i):
+            guarantee(False, f"the relative inverse of {f} fails fgf = f, gfg = g or fg = gf")
     return RegularTriple(f, inv, zero)
 
 

@@ -15,7 +15,7 @@ from .constructions import (
     sum_blocks,
     validate_system,
 )
-from .fnmap import compose, idempotents_central
+from .fnmap import compose, guarantee, idempotents_central
 from .shelves import (
     Magma,
     QuasiRack,
@@ -34,15 +34,15 @@ PlonkaSystem = SemilatticeSystem
 
 def plonka_sum(p: PlonkaSystem) -> Magma:
     """a |> b := phi_{alpha, alpha^beta}(a) |> phi_{beta, alpha^beta}(b)
-    computed in the meet fiber.  The result is asserted to be a left shelf."""
+    computed in the meet fiber.  The result is guaranteed a left shelf."""
     validate_system(p, is_rack)
     table = semilattice_sum(p)
-    assert is_left_shelf(table)
+    guarantee(is_left_shelf(table), "a Plonka sum of racks is not a left shelf")
     return table
 
 
 def checked_sum(p: PlonkaSystem) -> QuasiRack:
-    """The validated sum, with every theorem guarantee on it asserted:
+    """The validated sum, with every theorem guarantee on it checked:
 
     the sum is a quasi rack satisfying (*) and (***) whose relative
     inverses are the closed forms
@@ -62,23 +62,24 @@ def checked_sum(p: PlonkaSystem) -> QuasiRack:
         table.append(tuple([off[c] + fibers[c][u][v] for c, u, h in blocks for v in h]))
         zero.append(tuple([off[c] + v for c, u, h in blocks for v in h]))
         inv.append(tuple([off[c] + back[c][u][v] for c, u, h in blocks for v in h]))
-    assert is_left_shelf(table), "Plonka sum must be a quasi rack"
+    guarantee(is_left_shelf(table), "a Plonka sum of racks is not a left shelf")
     # f i == z == i f and z f == f put f in the group of z (then z z == z
     # and f z == f); i z == i puts i there, as the inverse of f
     for f, z, i in zip(table, zero, inv):
         for y, w, j in zip(f, z, i):
-            assert f[j] == w == i[y] and z[y] == y and i[w] == j
-    assert idempotents_central(zero, table)
+            if not (f[j] == w == i[y] and z[y] == y and i[w] == j):
+                guarantee(False, "an L_a of a Plonka sum is not in the group of L_a^0 with inverse L_a^-")
+    guarantee(idempotents_central(zero, table), "the idempotents L^0 of a Plonka sum are not central")
     q = QuasiRack(tuple(table), tuple(inv), tuple(zero))
-    assert check_star(q) and check_starstarstar(q)
+    guarantee(check_star(q) and check_starstarstar(q), "a Plonka sum of racks fails (*) or (***)")
     # the fibers are racks, so each is a quandle iff its diagonal is fixed
     if all(f[i][i] == i for f in fibers for i in range(len(f))):
-        assert is_quasi_quandle(q)
+        guarantee(is_quasi_quandle(q), "a Plonka sum of quandles is not a quasi quandle")
     return q
 
 
 def sum_structure_check(p: PlonkaSystem) -> dict:
-    """The report of the guarantees ``checked_sum`` asserts."""
+    """The report of the guarantees ``checked_sum`` checks."""
     q = checked_sum(p)
     return {
         "quasi_rack": True,
@@ -129,8 +130,7 @@ def decompose(q: QuasiRack) -> PlonkaSystem:
     """Split a quasi rack with (*) and (***) into a Plonka system whose
     sum is q relabeled class by class (``_split``), which is checked."""
     p, back = _split(q)
-    if not back:
-        raise AssertionError("the sum of the decomposition is not the quasi rack")
+    guarantee(back, "the sum of the decomposition is not the quasi rack")
     return p
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .fnmap import FnMap, compose, is_permutation, regular_family, zeros_multiplicative
+from .fnmap import FnMap, compose, guarantee, is_permutation, regular_family, zeros_multiplicative
 
 Magma = tuple
 
@@ -168,7 +168,7 @@ def opposite_right_quasi_rack(q: QuasiRack) -> Magma:
     table = tuple(tuple(q.L_inv[x][y] for x in range(n)) for y in range(n))
     # right self-distributivity is guaranteed; keep it checked, as left
     # self-distributivity of the transposed table
-    assert is_left_shelf(tuple(zip(*table)))
+    guarantee(is_left_shelf(tuple(zip(*table))), "y <| x := L^-_x(y) is not right self-distributive")
     return table
 
 

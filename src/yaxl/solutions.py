@@ -23,6 +23,7 @@ from .fnmap import (
     RegularFamily,
     commutes,
     compose,
+    guarantee,
     idempotents_central,
     is_permutation,
     regular_family,
@@ -198,13 +199,12 @@ def abc_family(s: Solution) -> Optional[RegularFamily]:
 
 
 def derived_shelf(s: Solution) -> Magma:
-    """The structure magma under conditions (A), (B), (C), asserted a shelf."""
+    """The structure magma under conditions (A), (B), (C), guaranteed a shelf."""
     d = abc_family(s)
     if d is None:
         raise ValueError("not a quasi left non-degenerate solution with (A), (B), (C)")
     table = structure_magma(s, d)
-    if not is_left_shelf(table):
-        raise AssertionError("structure magma failed self-distributivity under (A)-(C)")
+    guarantee(is_left_shelf(table), "structure magma failed self-distributivity under (A)-(C)")
     return table
 
 
@@ -302,7 +302,7 @@ def lyubashenko(f: FnMap, g: FnMap) -> Solution:
     s = Solution(lam=tuple(f for _ in range(n)), rho=tuple(g for _ in range(n)))
     if g == tf.inv:
         r = pair_map(s)
-        assert compose(compose(r, r), r) == r
+        guarantee(compose(compose(r, r), r) == r, "r(x, y) = (f(y), f^-(x)) is not cubic")
     return s
 
 
@@ -312,7 +312,7 @@ def constant_lambda_twist(s: Solution) -> Solution:
 
     Preconditions: all lambda_x equal and completely regular, with
     lambda^0 rho_x = rho_x lambda^0 and rho_x = lambda^0 rho_{lambda^0(x)}
-    for every x.  The result is asserted to be a quasi left
+    for every x.  The result is guaranteed to be a quasi left
     non-degenerate solution.
     """
     lam0 = s.lam[0]
@@ -331,8 +331,6 @@ def constant_lambda_twist(s: Solution) -> Solution:
     new_lam = tuple(zero for _ in range(n))
     new_rho = tuple(compose(lam0, s.rho[inv[y]]) for y in range(n))
     out = Solution(lam=new_lam, rho=new_rho)
-    if not is_solution(out):
-        raise AssertionError("constant-lambda twist failed the braid identity")
-    if quasi_left_nondeg(out) is None:
-        raise AssertionError("constant-lambda twist is not quasi left non-degenerate")
+    guarantee(is_solution(out), "constant-lambda twist failed the braid identity")
+    guarantee(quasi_left_nondeg(out) is not None, "constant-lambda twist is not quasi left non-degenerate")
     return out

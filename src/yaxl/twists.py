@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fnmap import compose, idempotents_central, relative_inverse, zeros_multiplicative
+from .fnmap import compose, guarantee, idempotents_central, relative_inverse, zeros_multiplicative
 from .shelves import Magma, is_hom, is_left_shelf, validate_table
 from .solutions import Solution, abc_family, derived_shelf
 
@@ -114,7 +114,7 @@ def is_g_twist(t: TwistFamily) -> bool:
 def solution_from_twist(t: TwistFamily) -> Solution:
     """r(a, b) = (phi_a(b), phi^-_{phi_a(b)}(phi_a(b) |> a)).
 
-    Requires a g-twist; the result is asserted to be a quasi left
+    Requires a g-twist; the result is guaranteed to be a quasi left
     non-degenerate solution satisfying (A), (B) and (C).
     """
     if not is_g_twist(t):
@@ -122,8 +122,7 @@ def solution_from_twist(t: TwistFamily) -> Solution:
     if not phi_idempotents_central(t):
         raise ValueError("phi idempotents are not central in the family")
     s = _twist_map(t)
-    if abc_family(s) is None:
-        raise AssertionError("g-twist map is not a quasi-lnd (A)(B)(C) solution")
+    guarantee(abc_family(s) is not None, "g-twist map is not a quasi-lnd (A)(B)(C) solution")
     return s
 
 

@@ -28,6 +28,32 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+def rebind(monkeypatch, fn, replacement):
+    """Replace ``fn`` under every name that a yaxl module binds it to."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("yaxl."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def count_calls(monkeypatch, *fns):
+    """{name: calls} for each of ``fns``, counted under every name that a
+    yaxl module binds it to; the counts run until the test ends."""
+    calls = dict.fromkeys((fn.__name__ for fn in fns), 0)
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for fn in fns:
+        rebind(monkeypatch, fn, counting(fn))
+    return calls
+
+
 # L_0 = L_1 = const 0, L_2 = id: satisfies (*) but not (**)
 STAR_NOT_STARSTAR = ((0, 0, 0), (0, 0, 0), (0, 1, 2))
 

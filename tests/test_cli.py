@@ -1,11 +1,20 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import INVERSE_NOT_A_SOLUTION, dihedral_quandle, trivial_quandle, two_chain_clifford
-from yaxl.cli import main
+from fixtures import (
+    INVERSE_NOT_A_SOLUTION,
+    count_calls,
+    dihedral_quandle,
+    trivial_quandle,
+    two_chain_clifford,
+)
+from yaxl import constructions, shelves
+from yaxl.cli import _check_shelf, main
 from yaxl.constructions import SemilatticeSystem, cyclic_group, semilattice_sum, trivial_brace
+from yaxl.enumeration import quasi_rack_profile
 from yaxl.fnmap import identity
 from yaxl.plonka import PlonkaSystem
 from yaxl.serialization import (
@@ -19,6 +28,7 @@ from yaxl.serialization import (
     weak_brace_to_json,
 )
 from yaxl.shelves import derived_map, quasi_rack_structure
+from yaxl.solutions import quasi_bijective
 from yaxl.twists import make_twist_family
 
 
@@ -34,6 +44,42 @@ def test_check_shelf_ok(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["quandle"] and report["quasi_quandle"]
     assert report["derived_is_solution"]
+
+
+def _shelf_report(table):
+    """check shelf's report, each flag read off its public predicate."""
+    report = {"left_shelf": shelves.is_left_shelf(table)}
+    if not report["left_shelf"]:
+        return report
+    report["rack"] = shelves.is_rack(table)
+    report["quandle"] = shelves.is_quandle(table)
+    q = quasi_rack_structure(table)
+    report["quasi_rack"] = q is not None
+    if q is None:
+        return report
+    report["quasi_quandle"] = shelves.is_quasi_quandle(q)
+    report.update(quasi_rack_profile(q))
+    if report["derived_is_solution"]:
+        report["derived_quasi_bijective"] = quasi_bijective(derived_map(q)) is not None
+    return report
+
+
+def test_check_shelf_report_matches_the_public_predicates():
+    # every table with n <= 3; items compared in order, as they are printed
+    for n in (1, 2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            t = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            assert list(_check_shelf(t).items()) == list(_shelf_report(t).items()), t
+
+
+def test_check_shelf_decides_self_distributivity_twice(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "q.txt", magma_to_text(dihedral_quandle(3)))
+    calls = count_calls(monkeypatch, shelves.is_left_shelf)
+    assert main(["check", "shelf", path]) == 0
+    # once itself and once in quasi_rack_structure; rack and quandle are
+    # read off its idempotents (4 calls before: is_rack and is_quandle too)
+    assert calls == {"is_left_shelf": 2}
+    assert json.loads(capsys.readouterr().out)["quandle"] is True
 
 
 def test_check_shelf_failing_property(tmp_path):
@@ -93,6 +139,26 @@ def test_check_clifford_and_weak_brace(tmp_path, capsys):
     bad = json.dumps({"add": [[0, 1], [1, 0]], "mul": [[1, 0], [0, 1]]})
     path = write(tmp_path, "bad.json", bad)
     assert main(["check", "weak-brace", path]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, brace, expected",
+    [
+        # dual is mul_inverse_semigroup plus the centrality test (3 and 3 before)
+        (["check", "weak-brace"], True, {"is_associative": 2, "semigroup_inverses": 2}),
+        # clifford is inverse_semigroup plus the centrality test (2 and 2 before)
+        (["check", "clifford"], False, {"is_associative": 1, "semigroup_inverses": 1}),
+        # clifford_table searches the inverses once (1 and 2 before)
+        (["construct", "conjugation"], False, {"is_associative": 1, "semigroup_inverses": 1}),
+    ],
+)
+def test_each_table_is_decided_an_inverse_semigroup_once(tmp_path, monkeypatch, capsys, command, brace, expected):
+    c = two_chain_clifford()
+    text = weak_brace_to_json(trivial_brace(c)) if brace else magma_to_text(c.mul)
+    path = write(tmp_path, "in.txt", text)
+    calls = count_calls(monkeypatch, constructions.is_associative, constructions.semigroup_inverses)
+    assert main(command + [path]) == 0
+    assert calls == expected
 
 
 def test_check_twist_and_plonka(tmp_path, capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from yaxl import constructions
-from fixtures import deformed_fixture, dihedral_quandle, run_python, two_chain_clifford
+from fixtures import count_calls, deformed_fixture, dihedral_quandle, run_python, two_chain_clifford
 from oracles import naive_is_group, naive_semilattices
 from yaxl.constructions import (
     SemilatticeSystem,
@@ -306,20 +306,8 @@ def test_weak_brace_validation():
 
 
 def test_make_weak_brace_checks_each_table_once(monkeypatch):
-    calls = {"semigroup_inverses": 0, "validate_table": 0}
-
-    def counting(name):
-        fn = getattr(constructions, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
     c = two_chain_clifford()
-    for name in calls:
-        monkeypatch.setattr(constructions, name, counting(name))
+    calls = count_calls(monkeypatch, constructions.semigroup_inverses, constructions.validate_table)
     b = make_weak_brace(c.mul, c.mul)
     # one of each per table: the report and the brace share them
     assert calls == {"semigroup_inverses": 2, "validate_table": 2}

@@ -1,12 +1,11 @@
 import hashlib
 import itertools
 import random
-import sys
 from math import factorial
 
 import pytest
 
-from fixtures import run_python
+from fixtures import rebind, run_python
 from oracles import (
     naive_automorphism_count,
     naive_canonical_form,
@@ -182,22 +181,13 @@ def test_searched_quasi_racks_match_quasi_rack_structure(klass, count):
         assert all(z == identity for z in q.L_zero) == is_rack(q.table)
 
 
-def _rebind(monkeypatch, fn, replacement):
-    """Replace ``fn`` under every name that a yaxl module binds it to."""
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("yaxl."):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, replacement)
-
-
 def test_table1_builds_no_quasi_rack_structure(monkeypatch, capsys):
     # the search has decided self-distributivity and central idempotents
     def boom(*args):
         raise AssertionError("table1 re-checked a searched quasi rack")
 
     for fn in (shelves.quasi_rack_structure, fnmap.regular_family, shelves.is_left_shelf):
-        _rebind(monkeypatch, fn, boom)
+        rebind(monkeypatch, fn, boom)
     assert cli.main(["table1"]) == 0
     assert '"match": true' in capsys.readouterr().out
 
@@ -210,7 +200,7 @@ def test_table1_inverts_each_distinct_row_once(monkeypatch, capsys):
         calls.append(f)
         return relative_inverse(f)
 
-    _rebind(monkeypatch, relative_inverse, counting)
+    rebind(monkeypatch, relative_inverse, counting)
     assert cli.main(["table1"]) == 0
     # the search's candidate index inverts all n^n maps, n = 2, 3, 4
     assert len(calls) == 4 + 27 + 256 + 60

@@ -1,6 +1,7 @@
 """Every name a ``yaxl`` module imports at top level is used in it,
-every private top-level function or class is read by some module, and
-the row-placement engine has only its two callers."""
+every private top-level function or class is read by some module, the
+row-placement engine has only its two callers, and every theorem
+guarantee fails through ``fnmap.guarantee``."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,74 @@ def test_place_has_two_callers():
     # Q2's rho tables; a third placement entry point fails here
     callers = placement_callers([path.read_text() for path in SRC])
     assert callers == ["_search_labeled", "search_question2"]
+
+
+# the only definitions that may name AssertionError: the one that raises
+# it for a failed guarantee, and the one that maps it to exit code 3
+GUARANTEE_HOMES = {("fnmap", "guarantee"), ("cli", "main")}
+
+
+def _is_message(node) -> bool:
+    """A non-empty string literal or f-string."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value != ""
+    return isinstance(node, ast.JoinedStr) and node.values != []
+
+
+def guarantee_violations(sources: dict) -> list:
+    """(module, line, kind) for each other way a module fails a theorem
+    guarantee: an ``assert`` statement, ``AssertionError`` named outside
+    ``GUARANTEE_HOMES``, or a ``guarantee`` call whose message is not a
+    non-empty string or f-string.  ``sources`` maps module names to code."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            home = (module, getattr(top, "name", "<module>")) in GUARANTEE_HOMES
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assert):
+                    found.append((module, node.lineno, "assert"))
+                elif isinstance(node, ast.Name) and node.id == "AssertionError" and not home:
+                    found.append((module, node.lineno, "AssertionError"))
+                elif isinstance(node, ast.Call) and "guarantee" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    what = node.args[1:2] + [k.value for k in node.keywords if k.arg == "what"]
+                    if len(what) != 1 or not _is_message(what[0]):
+                        found.append((module, node.lineno, "message"))
+    return sorted(found)
+
+
+def test_the_gate_flags_every_other_way_to_fail_a_guarantee():
+    homes = {
+        "fnmap": "def guarantee(holds, what):\n    if not holds:\n        raise AssertionError(what)\n",
+        "cli": "def main():\n    try:\n        pass\n    except AssertionError:\n        pass\n",
+    }
+    assert guarantee_violations(homes) == []
+    bad = (
+        "def f(x):\n"
+        "    assert x\n"
+        "    raise AssertionError('x')\n"
+        "    guarantee(x, 'ok')\n"
+        "    m.guarantee(x, f'ok {x}')\n"
+        "    guarantee(x, what='ok')\n"
+        "    guarantee(x)\n"
+        "    m.guarantee(x, '')\n"
+        "    guarantee(x, f'')\n"
+        "    guarantee(x, msg)\n"
+        "    guarantee(x, 3)\n"
+    )
+    assert guarantee_violations({"m": bad, "cli": "def other():\n    AssertionError\n"}) == [
+        ("cli", 2, "AssertionError"),
+        ("m", 2, "assert"),
+        ("m", 3, "AssertionError"),
+        ("m", 7, "message"),
+        ("m", 8, "message"),
+        ("m", 9, "message"),
+        ("m", 10, "message"),
+        ("m", 11, "message"),
+    ]
+
+
+def test_every_guarantee_fails_through_fnmap_guarantee():
+    assert guarantee_violations({path.stem: path.read_text() for path in SRC}) == []

@@ -20,6 +20,7 @@ from yaxl.plonka import (
     solution_as_strong_semilattice,
     sum_structure_check,
 )
+from yaxl.serialization import plonka_to_json
 from yaxl.shelves import (
     are_isomorphic,
     check_star,
@@ -119,6 +120,28 @@ def test_the_round_trip_check_fires_under_python_O():
     assert done.stdout.splitlines() == [
         "roundtrip False",
         "raised: the sum of the decomposition is not the quasi rack",
+    ]
+
+
+# ``yaxl construct plonka-sum`` with the centrality test patched to fail,
+# run under python -O; the broken guarantee must still exit 3
+NOT_CENTRAL = """
+import sys
+from yaxl import cli, plonka
+if __debug__:
+    sys.exit("not running under -O")
+plonka.idempotents_central = lambda *args: False
+sys.exit(cli.main(["construct", "plonka-sum", sys.argv[1]]))
+"""
+
+
+def test_a_plonka_sum_guarantee_fires_under_python_O(tmp_path):
+    path = tmp_path / "sum.json"
+    path.write_text(plonka_to_json(two_chain(trivial_quandle(1), dihedral_quandle(3), (0, 0, 0))))
+    done = run_python("-O", "-c", NOT_CENTRAL, str(path))
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.splitlines() == [
+        "internal error (theorem guarantee violated): the idempotents L^0 of a Plonka sum are not central"
     ]
 
 
