@@ -92,20 +92,19 @@ def _check_shelf(table) -> dict:
 
 
 def _check_solution(s) -> dict:
-    report = {"solution": solutions.is_solution(s)}
-    if not report["solution"]:
-        return report
-    flags = solutions.classify(s)
-    report.update(
-        {
-            "bijective": flags.bijective,
-            "involutive": flags.involutive,
-            "idempotent": flags.idempotent,
-            "cubic": flags.cubic,
-            "left_nondegenerate": flags.left_nd,
-            "right_nondegenerate": flags.right_nd,
-        }
-    )
+    try:
+        flags = solutions.classify(s)  # decides the braid identity
+    except ValueError:
+        return {"solution": False}
+    report = {
+        "solution": True,
+        "bijective": flags.bijective,
+        "involutive": flags.involutive,
+        "idempotent": flags.idempotent,
+        "cubic": flags.cubic,
+        "left_nondegenerate": flags.left_nd,
+        "right_nondegenerate": flags.right_nd,
+    }
     inv = solutions.quasi_bijective(s)
     report["quasi_bijective"] = inv is not None
     if inv is not None:

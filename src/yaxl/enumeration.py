@@ -66,7 +66,7 @@ from .shelves import (
     derived_map,
     quasi_rack_structure,
 )
-from .solutions import Solution, abc_family, is_solution, quasi_bijective, structure_magma
+from .solutions import Solution, abc_family, is_solution, pair_map, structure_magma
 
 CLASSES = ("shelf", "rack", "quandle", "quasi_rack", "quasi_quandle")
 FILTERS = ("star", "starstar", "starstarstar", "derived_is_solution")
@@ -474,38 +474,49 @@ def _report(question: str, n: int, exhaustive: bool, seed, counted: str, checked
     }
 
 
-def _cell_values(f, x: int, y: int) -> list:
-    """The values c with f_x f_y = f_{f_x(y)} f_c, in increasing order.
+def _cell_table(f) -> list:
+    """cells[y][x]: the values c with f_x f_y = f_{f_x(y)} f_c, in
+    increasing order, read off the n^2 compositions f_t f_c built once.
 
     For f = lambda these are the values of rho_y(x) that the first
     component of the braid identity, lambda_x lambda_y =
-    lambda_{lambda_x(y)} lambda_{rho_y(x)}, allows; for f = rho, at the
-    cell (z, y), the values of lambda_y(z) that the third, rho_z rho_y =
+    lambda_{lambda_x(y)} lambda_{rho_y(x)}, allows; for f = rho, at
+    cells[y][z], the values of lambda_y(z) that the third, rho_z rho_y =
     rho_{rho_z(y)} rho_{lambda_y(z)}, allows.  Either way the partner
     family's entry g[y][x] must be one of them.
     """
-    fx = f[x]
-    lhs = tuple(fx[v] for v in f[y])
-    ft = f[fx[y]]
-    return [c for c, fc in enumerate(f) if tuple(ft[v] for v in fc) == lhs]
+    span = range(len(f))
+    comp = [[tuple([ft[v] for v in fc]) for fc in f] for ft in f]
+    return [[[c for c in span if comp[f[x][y]][c] == comp[x][y]] for x in span] for y in span]
 
 
 def _partner_masks(families) -> list:
-    """Bit j of entry i is set iff family j, as the partner of family i,
-    has every entry g[y][x] among ``_cell_values(f_i, x, y)``.
+    """Bit j of entry i is set iff the pair (lambda, rho) = (f_i, f_j)
+    meets both cell restrictions of ``_cell_table``: each f_j[y][x] is
+    in cell (y, x) of f_i's table (the first braid component) and each
+    f_i[y][x] in cell (y, x) of f_j's (the third).  So bit j of entry i
+    is bit i of entry j.
 
-    The families are indexed once, flattened: cell (y, x) is entry
-    y * n + x of ``_value_index``.
+    Cell (y, x) is entry y * n + x of the flattened families and tables:
+    ``at[cell][c]`` (``_value_index``) holds the families whose entry
+    there is c, ``allowed[cell][c]`` those whose cell admits c.
     """
     n = len(families[0])
-    at = _value_index([sum(g, ()) for g in families])
+    flat = [sum(g, ()) for g in families]
+    at = _value_index(flat)
+    allowed = [[0] * n for _ in at]
     masks = []
-    for f in families:
-        mask = -1
-        for x, y in itertools.product(range(n), repeat=2):
+    for i, f in enumerate(families):
+        mask = -1  # the rho that the first component allows with lambda = f_i
+        for cell, values in enumerate(sum(_cell_table(f), [])):
             # one value per cell, so the masks of distinct values are disjoint
-            mask &= sum(at[y * n + x][c] for c in _cell_values(f, x, y))
+            mask &= sum(at[cell][c] for c in values)
+            for c in values:
+                allowed[cell][c] |= 1 << i
         masks.append(mask)
+    for i, g in enumerate(flat):  # and whose own table admits lambda = f_i
+        for cell, c in enumerate(g):
+            masks[i] &= allowed[cell][c]
     return masks
 
 
@@ -535,16 +546,19 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
 
     Exhaustive for n <= 3 over every pair of such families.  The braid
     identity's first component restricts each rho cell rho_y(x) given
-    lambda, its third restricts each lambda cell lambda_y(z) given rho
-    (``_cell_values``); only pairs that pass both restrictions go on to
-    the full braid check, which still decides, and ``pairs_checked``
-    counts every pair of the family product.  Seeded random sampling at
-    n >= 4 draws each member independently and keeps a pair only when
-    every idempotent commutes with every member of the lambda and rho
-    families together, a stricter hypothesis: at n = 2 it holds for 46
-    of the 100 exhaustive pairs, at n = 3 for 68,349 of 393,129.  The
-    report never asserts an answer: an empty candidate list means only
-    that no counterexample was found among the structures checked.
+    lambda, its third restricts each lambda cell lambda_y(z) given rho.
+    ``_partner_masks`` reads both restrictions off one ``_cell_table``
+    per family; they are necessary for the braid identity, so they only
+    prune: the search walks the pairs that pass both (5,880 of 393,129
+    at n = 3), and the full braid check decides each of them.
+    ``pairs_checked`` counts every pair of the family product.  Seeded
+    random sampling at n >= 4 draws each member independently and keeps
+    a pair only when every idempotent commutes with every member of the
+    lambda and rho families together, a stricter hypothesis: at n = 2 it
+    holds for 46 of the 100 exhaustive pairs, at n = 3 for 68,349 of
+    393,129.  The report never asserts an answer: an empty candidate
+    list means only that no counterexample was found among the
+    structures checked.
     """
     exhaustive = _exhaustive(n, seed, samples)
     candidates = []
@@ -552,20 +566,13 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     if exhaustive:
         families = list(_search_labeled(n, "quasi_rack", shelf=False))
         checked = len(families) ** 2
-        partners = _partner_masks(families)
-        for i, lam in enumerate(families):
-            todo = partners[i]  # the other pairs fail a braid component
-            while todo:
+        for lam, todo in zip(families, _partner_masks(families)):
+            while todo:  # the other pairs fail a braid component
                 low = todo & -todo
                 todo ^= low
-                j = low.bit_length() - 1
-                if not partners[j] >> i & 1:
-                    continue
-                s = Solution(lam=lam, rho=families[j])
-                if not is_solution(s):
-                    continue
+                s = Solution(lam=lam, rho=families[low.bit_length() - 1])
                 # quasi non-degenerate by construction of the families
-                if quasi_bijective(s) is None:
+                if is_solution(s) and relative_inverse(pair_map(s)) is None:
                     candidates.append(s)
     else:
         rng = random.Random(seed)
@@ -580,9 +587,7 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
             checked += 1
             maps = [cands[i][0] for i in idx]
             s = Solution(lam=tuple(maps[:n]), rho=tuple(maps[n:]))
-            if not is_solution(s):
-                continue
-            if quasi_bijective(s) is None:
+            if is_solution(s) and relative_inverse(pair_map(s)) is None:
                 candidates.append(s)
     return _report(
         "is every quasi non-degenerate solution quasi bijective?",
@@ -604,8 +609,8 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     Exhaustive for n <= 3 over every such lambda family and every rho
     table that two of the braid identity's components allow.  Given
     lambda, rho is placed row by row (``_place``) in the lexicographic
-    order of all tables: each cell rho_y(x) ranges over
-    ``_cell_values(lambda, x, y)`` (the first component), and once a row
+    order of all tables: each cell rho_y(x) ranges over its cell of
+    ``_cell_table(lambda)`` (the first component), and once a row
     is placed the third component, rho_z rho_y = rho_{rho_z(y)}
     rho_{lambda_y(z)}, is checked on every pair whose four rows are
     placed.  The full braid check still decides every table.  Seeded
@@ -621,7 +626,7 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     def consider(s: Solution):
         nonlocal checked
         d = abc_family(s)
-        if d is None or quasi_bijective(s) is None:
+        if d is None or relative_inverse(pair_map(s)) is None:
             return
         checked += 1
         if quasi_rack_structure(structure_magma(s, d)) is None:
@@ -632,10 +637,10 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
         at = _value_index(all_maps)
         for lam in _search_labeled(n, "quasi_rack", shelf=False):
             row_masks = []
-            for y in span:
+            for cells in _cell_table(lam):  # cells[x]: the values rho_y(x) may take
                 mask = -1
-                for x in span:
-                    mask &= sum(at[x][c] for c in _cell_values(lam, x, y))
+                for x, values in enumerate(cells):
+                    mask &= sum(at[x][c] for c in values)
                 row_masks.append(mask)
 
             def third_component_ok(rows, k: int) -> bool:

@@ -111,6 +111,7 @@ def is_solution(s: Solution) -> bool:
 
 
 def classify(s: Solution) -> SolutionFlags:
+    """The flags of a solution; raises ValueError if s fails the braid identity."""
     if not is_solution(s):
         raise ValueError("not a Yang-Baxter solution")
     r = pair_map(s)

@@ -11,7 +11,7 @@ from fixtures import (
     trivial_quandle,
     two_chain_clifford,
 )
-from yaxl import constructions, shelves
+from yaxl import constructions, shelves, solutions
 from yaxl.cli import _check_shelf, main
 from yaxl.constructions import SemilatticeSystem, cyclic_group, semilattice_sum, trivial_brace
 from yaxl.enumeration import quasi_rack_profile
@@ -104,6 +104,19 @@ def test_check_solution(tmp_path, capsys):
     assert report["solution"] and report["quasi_bijective"]
     assert report["relative_inverse_is_solution"]
     assert report["A"] and report["B"] and report["C"]
+
+
+def test_check_solution_decides_the_braid_identity_once(tmp_path, monkeypatch, capsys):
+    from yaxl.serialization import solution_to_text
+
+    s = derived_map(quasi_rack_structure(dihedral_quandle(3)))
+    path = write(tmp_path, "s.txt", solution_to_text(s))
+    calls = count_calls(monkeypatch, solutions.is_solution)
+    assert main(["check", "solution", path]) == 0
+    # once in classify and once for the relative inverse (3 before: the
+    # report's own flag decided it first)
+    assert calls == {"is_solution": 2}
+    assert json.loads(capsys.readouterr().out)["relative_inverse_is_solution"] is True
 
 
 def test_check_solution_whose_relative_inverse_is_not_a_solution(tmp_path, capsys):

@@ -5,8 +5,9 @@ from math import factorial
 
 import pytest
 
-from fixtures import rebind, run_python
+from fixtures import count_calls, rebind, run_python
 from oracles import (
+    comp,
     naive_automorphism_count,
     naive_canonical_form,
     naive_class_tables,
@@ -14,7 +15,7 @@ from oracles import (
     naive_question1,
     naive_question2,
 )
-from yaxl import cli, enumeration, fnmap, shelves
+from yaxl import cli, enumeration, fnmap, shelves, solutions
 from yaxl.enumeration import (
     CLASSES,
     FILTERS,
@@ -292,6 +293,43 @@ def test_cell_filter_drops_only_non_solutions():
                 dropped += 1
                 assert not is_solution(Solution(lam=lam, rho=rho)), (lam, rho)
     assert kept and dropped
+
+
+def _first_component_holds(f, g, comps):
+    # f_x f_y = f_{f_x(y)} f_{g_y(x)} on every cell: the first braid
+    # component of (lambda, rho) = (f, g), the third of (rho, lambda);
+    # comps[a, b] is f_a f_b
+    n = len(f)
+    return all(comps[x, y] == comps[f[x][y], g[y][x]] for x in range(n) for y in range(n))
+
+
+@pytest.mark.parametrize("families", ["every family on 2 points", "the Q1 families at n = 3"])
+def test_partner_masks_are_both_braid_components_pointwise(families):
+    if families.startswith("every"):
+        maps = list(itertools.product(range(2), repeat=2))
+        families = list(itertools.product(maps, repeat=2))
+    else:
+        families = list(_search_labeled(3, "quasi_rack", shelf=False))
+        assert len(families) == 627
+    span = range(len(families[0]))
+    comps = [{(a, b): comp(f[a], f[b]) for a in span for b in span} for f in families]
+    first = [[_first_component_holds(f, g, comps[i]) for g in families]
+             for i, f in enumerate(families)]
+    masks = _partner_masks(families)
+    for i, mask in enumerate(masks):
+        expected = sum(1 << j for j in range(len(families)) if first[i][j] and first[j][i])
+        assert mask == expected, families[i]
+        assert all(masks[j] >> i & 1 for j in range(len(families)) if mask >> j & 1)
+
+
+def test_question1_decides_each_admissible_pair_once_without_decoding(monkeypatch):
+    calls = count_calls(monkeypatch, solutions.is_solution, solutions.from_pair_map)
+    report = search_question1(3)
+    assert report["pairs_checked"] == 393129 and len(report["candidates"]) == 1008
+    # the full braid check decides each of the 5,880 pairs that pass both
+    # cell restrictions; the relative inverse of a pair map is not decoded
+    # (696 decodes when the search asked quasi_bijective)
+    assert calls == {"is_solution": 5880, "from_pair_map": 0}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
