@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import __version__
-from . import constructions, enumeration, plonka, serialization, shelves, solutions, twists
+from . import constructions, enumeration, fnmap, plonka, serialization, shelves, solutions, twists
 
 
 def _provenance(data: bytes, seed=None) -> dict:
@@ -83,11 +83,11 @@ def _check_shelf(table) -> dict:
     report.update(rack=rack, quandle=rack and shelves.is_quasi_quandle(q), quasi_rack=q is not None)
     if q is None:
         return report
-    report["quasi_quandle"] = shelves.is_quasi_quandle(q)
-    report.update(enumeration.quasi_rack_profile(q))
+    report["quasi_quandle"] = report["quandle"] if rack else shelves.is_quasi_quandle(q)
+    d = shelves.derived_map(q)
+    report.update(enumeration._profile(q, d))
     if report["derived_is_solution"]:
-        d = shelves.derived_map(q)
-        report["derived_quasi_bijective"] = solutions.quasi_bijective(d) is not None
+        report["derived_quasi_bijective"] = fnmap.relative_inverse(solutions.pair_map(d)) is not None
     return report
 
 

@@ -8,29 +8,20 @@ masks down the tree and calls a placement check after each row.  It
 has two callers: the labeled-table search (``_search_labeled``), which
 also yields the lambda families of the open-question searches (quasi
 rack rows without the self-distributivity checks), and the rho tables
-of the second open-question search.
+of the second open-question search.  Both place the rows of a
+translation identity f_x f_y = f_{f_x(y)} f_{sigma(x, y)}: left
+self-distributivity L_x L_y = L_{L_x(y)} L_x, and the third braid
+component rho_z rho_y = rho_{rho_z(y)} rho_{lambda_y(z)}.
+``_translation_checks`` builds the placement checks of either.
 
 The labeled search places left-translation rows.  Candidate rows are
 permutations (rack/quandle), completely regular maps (quasi classes) or
-arbitrary maps (shelf), indexed once per search.  Row k is tried only
-on the candidates that meet two bitmask prunings, and after it is
-placed the self-distributivity pairs L_k L_y = L_{L_k(y)} L_k with
-y, L_k(y) <= k are checked pointwise, so a completed assignment
-satisfies the class axioms by construction:
-
-- idempotent centrality (quasi classes) depends only on a pair of
-  candidates, so it is precomputed as one bitmask of compatible
-  candidates per candidate, and the search carries the intersection of
-  the masks of the placed rows;
-- every pair L_x L_y = L_{L_x(y)} L_x with x < k whose rows are all
-  placed once L_k is restricts the candidates f for L_k, and only those
-  meeting every such pair are tried, which decides all these pairs.
-  With ``at[v][a]`` the bitmask of candidates f with f(v) = a: a placed
-  y with L_x(y) = k asks f L_x = L_x L_y, which fixes f on the image of
-  L_x; t = L_x(k) < k asks L_x f = L_t L_x, which puts f(v) among the
-  preimages of L_t L_x(v) under L_x; and L_x(k) = k asks that f commute
-  with L_x.  When L_x is a bijection either of the first two leaves one
-  candidate.
+arbitrary maps (shelf), indexed once per search.  Idempotent centrality
+(quasi classes) depends only on a pair of candidates, so it is
+precomputed as one bitmask of compatible candidates per candidate, and
+the search carries the intersection of the masks of the placed rows.
+With the self-distributivity checks a completed assignment satisfies
+the class axioms by construction.
 
 The search itself decides isomorphism rejection: with ``canonical`` it
 yields a labeled table only if no relabeling is lexicographically
@@ -153,7 +144,7 @@ def _place(maps, row_masks, compat=None, place_ok=None, forced=None):
     row once index i is placed; the masks of the placed rows intersect.
     ``place_ok(rows, k)`` is called after row k is placed and rejects it
     by returning False; ``forced(rows, k)`` returns a mask that row k must
-    also meet, or None.  With none of the three, the rows come out as
+    also meet.  With none of the three, the rows come out as
     the ``itertools.product`` of each row's allowed maps.
     """
     n = len(row_masks)
@@ -165,9 +156,7 @@ def _place(maps, row_masks, compat=None, place_ok=None, forced=None):
             return
         todo = mask & row_masks[k]
         if forced is not None:
-            only = forced(rows, k)
-            if only is not None:
-                todo &= only
+            todo &= forced(rows, k)
         while todo:
             low = todo & -todo
             todo ^= low
@@ -177,6 +166,82 @@ def _place(maps, row_masks, compat=None, place_ok=None, forced=None):
                 yield from rec(k + 1, mask if compat is None else mask & compat[i])
 
     yield from rec(0, -1)
+
+
+def _translation_checks(at, sigma, start=None, then=None) -> tuple:
+    """``_place``'s ``place_ok`` and ``forced`` for a family f of the maps
+    indexed by ``at`` (``_value_index``) under the identity f_x f_y =
+    f_t f_u, with t = f_x(y) and u = sigma[x][y].
+
+    ``forced(rows, k)`` narrows row k's candidates f by every pair with
+    x < k in which k is exactly one of y, t and u and the other rows are
+    placed, which decides these pairs:
+
+    - y = k asks f_x f = f_t f_u, which puts f(v) among the preimages of
+      f_t f_u(v) under f_x (``pre`` of ``_masks_of``);
+    - t = k asks f f_u = f_x f_y, which fixes f on the image of f_u
+      (``at[v][a]``: the candidates with f(v) = a);
+    - u = k asks f_t f = f_x f_y, which puts f(v) among the preimages of
+      f_x f_y(v) under f_t;
+
+    and y = t = k with u = x asks that f commute with f_x.  For left
+    self-distributivity, u = x: with f = L_k, y = k asks L_x f = L_t L_x
+    for t = L_x(k) < k, a placed y with L_x(y) = k asks f L_x = L_x L_y,
+    and L_x(k) = k asks that f commute with L_x.  When the map composed
+    with f is a bijection, each of the first three leaves at most one
+    candidate.  ``start(k, rows[0])``, if given, is a mask that
+    each row k >= 1 must also meet.  ``place_ok(rows, k)`` checks
+    pointwise the pairs with x = k whose rows y, t and u are placed, and
+    then returns ``then(rows, k)`` (if given).
+
+    So every pair is decided when its last row is placed, except a pair
+    with x < k in which k occurs twice among y, t and u, other than
+    y = t = k with u = x: such a pair is never checked here.  With
+    sigma[x][y] = x (self-distributivity) that leaves no pair, and the
+    complete families are exactly those that satisfy the identity.
+    """
+    span = range(len(sigma))
+    masks_of = functools.cache(functools.partial(_masks_of, at))  # once per distinct row
+    # below[k]: the (y, u) with y, u <= k in the pairs with x = k
+    below = [[(y, u) for y, u in enumerate(sk[:k + 1]) if u <= k] for k, sk in enumerate(sigma)]
+
+    def place_ok(rows, k: int) -> bool:
+        fk = rows[k]
+        for y, u in below[k]:
+            t = fk[y]
+            if t <= k:
+                fy, ft, fu = rows[y], rows[t], rows[u]
+                for v in span:
+                    if fk[fy[v]] != ft[fu[v]]:
+                        return False
+        return then is None or then(rows, k)
+
+    def forced(rows, k: int):
+        only = start(k, rows[0]) if start is not None and k else -1
+        for x in range(k):
+            fx, sx = rows[x], sigma[x]
+            t, u = fx[k], sx[k]
+            if t < k > u:  # y = k
+                pre, ft, fu = masks_of(fx)[0], rows[t], rows[u]
+                for v in span:
+                    only &= pre[v][ft[fu[v]]]
+            elif t == k and u == x:
+                only &= masks_of(fx)[1]
+            for y in range(k):
+                t, u = fx[y], sx[y]
+                if t == k > u:
+                    fy, fu = rows[y], rows[u]
+                    for v in span:
+                        only &= at[fu[v]][fx[fy[v]]]
+                elif u == k > t:
+                    fy, pre = rows[y], masks_of(rows[t])[0]
+                    for v in span:
+                        only &= pre[v][fx[fy[v]]]
+            if not only:
+                return 0
+        return only
+
+    return place_ok, forced
 
 
 def _first_row_minima(n: int, maps, row_cands) -> list:
@@ -249,20 +314,6 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
             f, m = maps[i], least[k][i]
             return [(q, p, 1) for q, p in by_first[k] if tuple([p[f[v]] for v in q]) == m]
 
-    masks_of = functools.cache(functools.partial(_masks_of, at))  # once per distinct row
-
-    def place_ok(rows, k: int) -> bool:
-        # ``forced`` decides every pair with x < k; the pairs with x = k remain
-        mk = rows[k]
-        for y in range(k + 1 if shelf else 0):
-            t = mk[y]
-            if t <= k:
-                my, mt = rows[y], rows[t]
-                for z in span:
-                    if mk[my[z]] != mt[mk[z]]:
-                        return False
-        return not canonical or still_least(rows, k)
-
     def still_least(rows, k: int) -> bool:
         # Carry each relabeling that ties the rows compared so far over
         # the rows i <= k with q(i) <= k: a smaller row prunes, a greater
@@ -287,29 +338,11 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
         live[k] = kept
         return True
 
-    def forced(rows, k: int):
-        # The candidates f = L_k that meet every pair (x, y) with x < k
-        # whose rows are placed once L_k is.
-        only = not_below(k, rows[0]) if canonical and k else -1
-        for x in range(k if shelf else 0):
-            mx = rows[x]
-            t = mx[k]
-            if t < k:  # L_x f = L_t L_x
-                pre, mt = masks_of(mx)[0], rows[t]
-                for v in span:
-                    only &= pre[v][mt[mx[v]]]
-            elif t == k:  # L_x f = f L_x
-                only &= masks_of(mx)[1]
-            for y in range(k):
-                if mx[y] == k:  # L_x L_y = f L_x
-                    my = rows[y]
-                    for v in span:
-                        only &= at[mx[v]][mx[my[v]]]
-            if not only:
-                return 0
-        return only
-
-    checks = (place_ok, forced) if shelf or canonical else ()
+    if shelf:  # self-distributivity: sigma(x, y) = x
+        canon = (not_below, still_least) if canonical else ()
+        checks = _translation_checks(at, [(x,) * n for x in span], *canon)
+    else:
+        checks = (still_least, lambda rows, k: not_below(k, rows[0]) if k else -1) if canonical else ()
     yield from _place(maps, row_masks, compat, *checks)
 
 
@@ -317,11 +350,16 @@ def quasi_rack_profile(q: QuasiRack) -> dict:
     """The Table 1 flags of a quasi rack, keyed by the ``FILTERS`` names
     in their order: (*), (**), (***) and whether the derived map is a
     solution."""
+    return _profile(q, derived_map(q))
+
+
+def _profile(q: QuasiRack, d: Solution) -> dict:
+    """``quasi_rack_profile(q)``, given the derived map d of q."""
     return {
         "star": check_star(q),
         "starstar": check_starstar(q),
         "starstarstar": check_starstarstar(q),
-        "derived_is_solution": is_solution(derived_map(q)),
+        "derived_is_solution": is_solution(d),
     }
 
 
@@ -610,10 +648,15 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     table that two of the braid identity's components allow.  Given
     lambda, rho is placed row by row (``_place``) in the lexicographic
     order of all tables: each cell rho_y(x) ranges over its cell of
-    ``_cell_table(lambda)`` (the first component), and once a row
-    is placed the third component, rho_z rho_y = rho_{rho_z(y)}
-    rho_{lambda_y(z)}, is checked on every pair whose four rows are
-    placed.  The full braid check still decides every table.  Seeded
+    ``_cell_table(lambda)`` (the first component).  The third
+    component, rho_z rho_y = rho_{rho_z(y)} rho_{lambda_y(z)}, is the
+    translation identity of ``_translation_checks`` with sigma(z, y) =
+    lambda_y(z).  It decides, as row k is placed, the pairs with z = k
+    whose rows are placed, and the pairs with z < k in which k is
+    exactly one of y, rho_z(y) and lambda_y(z) (or y = rho_z(y) = k
+    with lambda_y(z) = z).  A pair with z < k in which k occurs twice
+    otherwise is not checked during placement.  The full braid check
+    (``abc_family``) still decides every table.  Seeded
     sampling at n >= 4 draws each lambda_x among the completely regular
     maps and each rho_y among all maps.  The report never asserts an
     answer.
@@ -633,7 +676,6 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
             candidates.append(s)
 
     if exhaustive:
-        span = range(n)
         at = _value_index(all_maps)
         for lam in _search_labeled(n, "quasi_rack", shelf=False):
             row_masks = []
@@ -643,20 +685,8 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
                     mask &= sum(at[x][c] for c in values)
                 row_masks.append(mask)
 
-            def third_component_ok(rows, k: int) -> bool:
-                for z in range(k + 1):
-                    rz = rows[z]
-                    for y in range(k + 1):
-                        t, u = rz[y], lam[y][z]
-                        if t > k or u > k or k not in (z, y, t, u):
-                            continue  # not all placed, or checked already
-                        ry, rt, ru = rows[y], rows[t], rows[u]
-                        for v in span:
-                            if rz[ry[v]] != rt[ru[v]]:
-                                return False
-                return True
-
-            for rho in _place(all_maps, row_masks, place_ok=third_component_ok):
+            # the third component: sigma(z, y) = lambda_y(z)
+            for rho in _place(all_maps, row_masks, None, *_translation_checks(at, tuple(zip(*lam)))):
                 consider(Solution(lam=lam, rho=rho))
     else:
         rng = random.Random(seed)

@@ -82,6 +82,18 @@ def test_check_shelf_decides_self_distributivity_twice(tmp_path, monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["quandle"] is True
 
 
+def test_check_shelf_builds_the_derived_map_once(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "q.txt", magma_to_text(dihedral_quandle(3)))
+    calls = count_calls(monkeypatch, shelves.derived_map, shelves.is_quasi_quandle,
+                        solutions.from_pair_map)
+    assert main(["check", "shelf", path]) == 0
+    # one derived map serves derived_is_solution and derived_quasi_bijective,
+    # whose relative inverse is not decoded; quandle and quasi_quandle share
+    # one diagonal test (2, 2 and 1 calls when each flag was decided apart)
+    assert calls == {"derived_map": 1, "is_quasi_quandle": 1, "from_pair_map": 0}
+    assert json.loads(capsys.readouterr().out)["derived_quasi_bijective"] is True
+
+
 def test_check_shelf_failing_property(tmp_path):
     # a non-shelf table: exit code 1, not an error
     path = write(tmp_path, "bad.txt", magma_to_text(((1, 0), (1, 1))))

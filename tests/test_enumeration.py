@@ -31,11 +31,19 @@ from yaxl.enumeration import (
     _place,
     _regular_candidates,
     _search_labeled,
+    _translation_checks,
     _value_index,
     quasi_rack_profile,
 )
 from yaxl.fnmap import commutes
-from yaxl.shelves import canonical_form, is_canonical, is_quandle, is_rack, quasi_rack_structure
+from yaxl.shelves import (
+    canonical_form,
+    is_canonical,
+    is_left_shelf,
+    is_quandle,
+    is_rack,
+    quasi_rack_structure,
+)
 from yaxl.solutions import Solution, is_solution
 
 
@@ -330,6 +338,57 @@ def test_question1_decides_each_admissible_pair_once_without_decoding(monkeypatc
     # cell restrictions; the relative inverse of a pair map is not decoded
     # (696 decodes when the search asked quasi_bijective)
     assert calls == {"is_solution": 5880, "from_pair_map": 0}
+
+
+def test_question2_walk_is_pinned(monkeypatch):
+    # the rho tables that reach the full braid check at n = 3: the third
+    # component's pairs in which the new row occurs twice are left to it,
+    # so a change in the placement's pruning changes this number
+    calls = count_calls(monkeypatch, solutions.abc_family)
+    report = search_question2(3)
+    assert calls == {"abc_family": 13179}
+    assert report["solutions_meeting_hypotheses"] == 264 and len(report["candidates"]) == 78
+
+
+def _decided(f, sigma, x, y) -> bool:
+    # the pairs that _translation_checks' docstring says it decides: the
+    # last row placed is x, or it is exactly one of y, t and u, or y = t
+    # with u = x
+    t, u = f[x][y], sigma[x][y]
+    last = max(x, y, t, u)
+    return x == last or (y, t, u).count(last) == 1 or (y == t == last and u == x)
+
+
+def _translation_families(n, sigma) -> list:
+    maps = list(itertools.product(range(n), repeat=n))
+    checks = _translation_checks(_value_index(maps), sigma)
+    return list(_place(maps, [(1 << len(maps)) - 1] * n, None, *checks))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_translation_checks_decide_exactly_the_stated_pairs(n):
+    # every family of maps against every sigma on 2 points, and against
+    # seeded sigma tables on 3 points (19,683 families)
+    span = range(n)
+    pairs = list(itertools.product(span, repeat=2))
+    maps = list(itertools.product(span, repeat=n))
+    families = list(itertools.product(maps, repeat=n))
+    comps = [{(a, b): comp(f[a], f[b]) for a, b in pairs} for f in families]
+    tables = list(itertools.product(span, repeat=n * n))
+    if n == 3:
+        tables = random.Random(2026).sample(tables, 10)
+    for flat in tables:
+        sigma = [flat[x * n:(x + 1) * n] for x in span]
+        holds = [{(x, y): c[x, y] == c[f[x][y], sigma[x][y]] for x, y in pairs}
+                 for f, c in zip(families, comps)]
+        yielded = _translation_families(n, sigma)
+        # yielded iff every decided pair holds, in the order of the product
+        assert yielded == [f for f, h in zip(families, holds)
+                           if all(h[x, y] for x, y in pairs if _decided(f, sigma, x, y))], sigma
+        assert set(yielded) >= {f for f, h in zip(families, holds) if all(h.values())}, sigma
+    # self-distributivity leaves no pair undecided: the left shelves
+    sigma = [(x,) * n for x in span]
+    assert _translation_families(n, sigma) == [f for f in families if is_left_shelf(f)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,7 +1,8 @@
 """Every name a ``yaxl`` module imports at top level is used in it,
 every private top-level function or class is read by some module, the
-row-placement engine has only its two callers, and every theorem
-guarantee fails through ``fnmap.guarantee``."""
+row-placement engine and the translation-identity checks have only
+their two callers, and every theorem guarantee fails through
+``fnmap.guarantee``."""
 
 import ast
 from pathlib import Path
@@ -66,15 +67,15 @@ def test_no_unused_private_definitions():
     assert unused_private_definitions([path.read_text() for path in SRC]) == []
 
 
-def placement_callers(sources: list) -> list:
+def placement_callers(sources: list, name: str) -> list:
     """The top-level definition (or ``<module>``) around each reference
-    to ``_place``, by name or as an attribute, in source order."""
+    to ``name``, by name or as an attribute, in source order."""
     callers = []
     for source in sources:
         for node in ast.parse(source).body:
             for sub in ast.walk(node):
-                if (isinstance(sub, ast.Name) and sub.id == "_place") or (
-                    isinstance(sub, ast.Attribute) and sub.attr == "_place"
+                if (isinstance(sub, ast.Name) and sub.id == name) or (
+                    isinstance(sub, ast.Attribute) and sub.attr == name
                 ):
                     callers.append(getattr(node, "name", "<module>"))
     return callers
@@ -82,14 +83,25 @@ def placement_callers(sources: list) -> list:
 
 def test_the_gate_finds_every_placement_caller():
     source = "def _place(): pass\ndef a():\n    _place()\n    def b(): _place()\nf = m._place\n"
-    assert placement_callers([source, "class C:\n    g = _place\n"]) == ["a", "a", "<module>", "C"]
+    callers = placement_callers([source, "class C:\n    g = _place\n"], "_place")
+    assert callers == ["a", "a", "<module>", "C"]
+    assert placement_callers([source, "def c(): m._f(_f)\n"], "_f") == ["c", "c"]
 
 
 def test_place_has_two_callers():
     # the labeled search (which also yields the lambda families) and
     # Q2's rho tables; a third placement entry point fails here
-    callers = placement_callers([path.read_text() for path in SRC])
+    callers = placement_callers([path.read_text() for path in SRC], "_place")
     assert callers == ["_search_labeled", "search_question2"]
+
+
+def test_translation_identities_have_one_routine():
+    # self-distributivity and Q2's third braid component place through
+    # one routine, and only it and the idempotent-centrality masks build
+    # the translation masks; a second pair loop or mask builder fails here
+    sources = [path.read_text() for path in SRC]
+    assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "search_question2"]
+    assert placement_callers(sources, "_masks_of") == ["_compat_masks", "_translation_checks"]
 
 
 # the only definitions that may name AssertionError: the one that raises
