@@ -168,10 +168,14 @@ def _place(maps, row_masks, compat=None, place_ok=None, forced=None):
     yield from rec(0, -1)
 
 
-def _translation_checks(at, sigma, start=None, then=None) -> tuple:
-    """``_place``'s ``place_ok`` and ``forced`` for a family f of the maps
-    indexed by ``at`` (``_value_index``) under the identity f_x f_y =
-    f_t f_u, with t = f_x(y) and u = sigma[x][y].
+def _translation_checks(at):
+    """The placement checks of translation identities over the maps
+    indexed by ``at`` (``_value_index``): a function ``checks(sigma,
+    start=None, then=None)`` that returns ``_place``'s ``place_ok`` and
+    ``forced`` for a family f of these maps under the identity f_x f_y =
+    f_t f_u, with t = f_x(y) and u = sigma[x][y].  The ``_masks_of`` of
+    each distinct row is built once per call of this routine, and shared
+    by every sigma that its ``checks`` serves.
 
     ``forced(rows, k)`` narrows row k's candidates f by every pair with
     x < k in which k is exactly one of y, t and u and the other rows are
@@ -200,48 +204,52 @@ def _translation_checks(at, sigma, start=None, then=None) -> tuple:
     sigma[x][y] = x (self-distributivity) that leaves no pair, and the
     complete families are exactly those that satisfy the identity.
     """
-    span = range(len(sigma))
+    span = range(len(at))
     masks_of = functools.cache(functools.partial(_masks_of, at))  # once per distinct row
-    # below[k]: the (y, u) with y, u <= k in the pairs with x = k
-    below = [[(y, u) for y, u in enumerate(sk[:k + 1]) if u <= k] for k, sk in enumerate(sigma)]
 
-    def place_ok(rows, k: int) -> bool:
-        fk = rows[k]
-        for y, u in below[k]:
-            t = fk[y]
-            if t <= k:
-                fy, ft, fu = rows[y], rows[t], rows[u]
-                for v in span:
-                    if fk[fy[v]] != ft[fu[v]]:
-                        return False
-        return then is None or then(rows, k)
+    def checks(sigma, start=None, then=None) -> tuple:
+        # below[k]: the (y, u) with y, u <= k in the pairs with x = k
+        below = [[(y, u) for y, u in enumerate(sk[:k + 1]) if u <= k] for k, sk in enumerate(sigma)]
 
-    def forced(rows, k: int):
-        only = start(k, rows[0]) if start is not None and k else -1
-        for x in range(k):
-            fx, sx = rows[x], sigma[x]
-            t, u = fx[k], sx[k]
-            if t < k > u:  # y = k
-                pre, ft, fu = masks_of(fx)[0], rows[t], rows[u]
-                for v in span:
-                    only &= pre[v][ft[fu[v]]]
-            elif t == k and u == x:
-                only &= masks_of(fx)[1]
-            for y in range(k):
-                t, u = fx[y], sx[y]
-                if t == k > u:
-                    fy, fu = rows[y], rows[u]
+        def place_ok(rows, k: int) -> bool:
+            fk = rows[k]
+            for y, u in below[k]:
+                t = fk[y]
+                if t <= k:
+                    fy, ft, fu = rows[y], rows[t], rows[u]
                     for v in span:
-                        only &= at[fu[v]][fx[fy[v]]]
-                elif u == k > t:
-                    fy, pre = rows[y], masks_of(rows[t])[0]
-                    for v in span:
-                        only &= pre[v][fx[fy[v]]]
-            if not only:
-                return 0
-        return only
+                        if fk[fy[v]] != ft[fu[v]]:
+                            return False
+            return then is None or then(rows, k)
 
-    return place_ok, forced
+        def forced(rows, k: int):
+            only = start(k, rows[0]) if start is not None and k else -1
+            for x in range(k):
+                fx, sx = rows[x], sigma[x]
+                t, u = fx[k], sx[k]
+                if t < k > u:  # y = k
+                    pre, ft, fu = masks_of(fx)[0], rows[t], rows[u]
+                    for v in span:
+                        only &= pre[v][ft[fu[v]]]
+                elif t == k and u == x:
+                    only &= masks_of(fx)[1]
+                for y in range(k):
+                    t, u = fx[y], sx[y]
+                    if t == k > u:
+                        fy, fu = rows[y], rows[u]
+                        for v in span:
+                            only &= at[fu[v]][fx[fy[v]]]
+                    elif u == k > t:
+                        fy, pre = rows[y], masks_of(rows[t])[0]
+                        for v in span:
+                            only &= pre[v][fx[fy[v]]]
+                if not only:
+                    return 0
+            return only
+
+        return place_ok, forced
+
+    return checks
 
 
 def _first_row_minima(n: int, maps, row_cands) -> list:
@@ -340,7 +348,7 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
 
     if shelf:  # self-distributivity: sigma(x, y) = x
         canon = (not_below, still_least) if canonical else ()
-        checks = _translation_checks(at, [(x,) * n for x in span], *canon)
+        checks = _translation_checks(at)([(x,) * n for x in span], *canon)
     else:
         checks = (still_least, lambda rows, k: not_below(k, rows[0]) if k else -1) if canonical else ()
     yield from _place(maps, row_masks, compat, *checks)
@@ -558,6 +566,36 @@ def _partner_masks(families) -> list:
     return masks
 
 
+def _choices(rng, sizes, rounds):
+    """Yield, for each of ``rounds`` rounds, the list of indices that
+    successive ``rng.choice`` calls on sequences of the given sizes would
+    pick, from the same stream: CPython's ``choice`` draws
+    ``getrandbits(size.bit_length())`` until the value is below size."""
+    bits = rng.getrandbits
+    widths = [(size, size.bit_length()) for size in sizes]
+    for _ in range(rounds):
+        idx = []
+        for size, k in widths:
+            r = bits(k)
+            while r >= size:
+                r = bits(k)
+            idx.append(r)
+        yield idx
+
+
+def _compatible(compat, idx) -> bool:
+    """Whether bit j of ``compat[i]`` is set for all i, j in idx, for the
+    symmetric masks of ``_compat_masks`` (bit i of mask i is always set:
+    a completely regular map commutes with its idempotent).  So each
+    index is tested against the intersection of the masks before it."""
+    common = -1
+    for i in idx:
+        if not common >> i & 1:
+            return False
+        common &= compat[i]
+    return True
+
+
 def _exhaustive(n: int, seed, samples: int) -> bool:
     """Whether a search at size n is exhaustive (n <= 3) rather than
     sampled; refuses sizes outside 1..SIZE_GUARD, and a sampled search
@@ -590,11 +628,12 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     prune: the search walks the pairs that pass both (5,880 of 393,129
     at n = 3), and the full braid check decides each of them.
     ``pairs_checked`` counts every pair of the family product.  Seeded
-    random sampling at n >= 4 draws each member independently and keeps
-    a pair only when every idempotent commutes with every member of the
-    lambda and rho families together, a stricter hypothesis: at n = 2 it
-    holds for 46 of the 100 exhaustive pairs, at n = 3 for 68,349 of
-    393,129.  The report never asserts an answer: an empty candidate
+    random sampling at n >= 4 draws each member independently
+    (``_choices``) and keeps a pair only when every idempotent commutes
+    with every member of the lambda and rho families together
+    (``_compatible``), a stricter hypothesis: at n = 2 it holds for 46
+    of the 100 exhaustive pairs, at n = 3 for 68,349 of 393,129.  The
+    report never asserts an answer: an empty candidate
     list means only that no counterexample was found among the
     structures checked.
     """
@@ -613,14 +652,11 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
                 if is_solution(s) and relative_inverse(pair_map(s)) is None:
                     candidates.append(s)
     else:
-        rng = random.Random(seed)
         cands = _regular_candidates(n)
         compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
-        picks = range(len(cands))
-        for _ in range(samples):
-            # lambda_0..lambda_{n-1}, then rho_0..rho_{n-1}
-            idx = [rng.choice(picks) for _ in range(2 * n)]
-            if not all(compat[i] >> j & 1 for i in idx for j in idx):
+        # lambda_0..lambda_{n-1}, then rho_0..rho_{n-1}
+        for idx in _choices(random.Random(seed), [len(cands)] * (2 * n), samples):
+            if not _compatible(compat, idx):
                 continue
             checked += 1
             maps = [cands[i][0] for i in idx]
@@ -658,8 +694,11 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     otherwise is not checked during placement.  The full braid check
     (``abc_family``) still decides every table.  Seeded
     sampling at n >= 4 draws each lambda_x among the completely regular
-    maps and each rho_y among all maps.  The report never asserts an
-    answer.
+    maps and each rho_y among all maps (``_choices``).  A sampled lambda
+    that is not quasi left non-degenerate, about 999 in 1,000 at n = 4,
+    is rejected by the compatibility masks of ``_compat_masks``
+    (``_compatible``) before the braid check, as ``abc_family`` would
+    reject it.  The report never asserts an answer.
     """
     exhaustive = _exhaustive(n, seed, samples)
     all_maps = list(itertools.product(range(n), repeat=n))
@@ -677,6 +716,7 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
 
     if exhaustive:
         at = _value_index(all_maps)
+        checks = _translation_checks(at)  # one _masks_of cache for every lambda
         for lam in _search_labeled(n, "quasi_rack", shelf=False):
             row_masks = []
             for cells in _cell_table(lam):  # cells[x]: the values rho_y(x) may take
@@ -686,15 +726,16 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
                 row_masks.append(mask)
 
             # the third component: sigma(z, y) = lambda_y(z)
-            for rho in _place(all_maps, row_masks, None, *_translation_checks(at, tuple(zip(*lam)))):
+            for rho in _place(all_maps, row_masks, None, *checks(tuple(zip(*lam)))):
                 consider(Solution(lam=lam, rho=rho))
     else:
-        rng = random.Random(seed)
         cr = _regular_candidates(n)
-        for _ in range(samples):
-            lam = tuple(f for f, _ in (rng.choice(cr) for _ in range(n)))
-            rho = tuple(rng.choice(all_maps) for _ in range(n))
-            consider(Solution(lam=lam, rho=rho))
+        compat = _compat_masks(cr, _value_index([f for f, _ in cr]))
+        # lambda_0..lambda_{n-1} among cr, then rho_0..rho_{n-1} among all maps
+        for idx in _choices(random.Random(seed), [len(cr)] * n + [len(all_maps)] * n, samples):
+            if _compatible(compat, idx[:n]):  # else lambda is not quasi left non-degenerate
+                lam = tuple(cr[i][0] for i in idx[:n])
+                consider(Solution(lam=lam, rho=tuple(all_maps[i] for i in idx[n:])))
     return _report(
         "is the structure magma of every quasi bijective, quasi left "
         "non-degenerate solution with (A), (B), (C) a quasi rack?",

@@ -1,10 +1,18 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive: plain definitions, full product
-spaces, no pruning, no reuse of the library's clever paths.
+spaces, no pruning, no reuse of the library's clever paths.  The one
+exception is the pair of sampling loops at the end, which reuse the
+library's checks to pin the random stream of the sampled searches.
 """
 
 import itertools
+import random
+
+from yaxl.enumeration import _compat_masks, _regular_candidates, _value_index
+from yaxl.fnmap import relative_inverse
+from yaxl.shelves import quasi_rack_structure
+from yaxl.solutions import Solution, abc_family, is_solution, pair_map, structure_magma
 
 
 def comp(f, g):
@@ -250,3 +258,57 @@ def naive_question2(n):
                 candidates.append((lam, rho))
     return {"n": n, "exhaustive": True, "solutions_meeting_hypotheses": checked,
             "candidates": candidates}
+
+
+# The seeded sampling loops of the open-question searches with one
+# ``rng.choice`` call per drawn member and the all-pairs compatibility
+# test, as the searches were first written.  They reuse the library's
+# checks: they pin the stream and the sample filters of the searches'
+# own loops, not the checks.
+
+
+def choice_question1(n, seed, samples):
+    """The sampled evidence of the first open-question search."""
+    candidates = []
+    checked = 0
+    rng = random.Random(seed)
+    cands = _regular_candidates(n)
+    compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
+    picks = range(len(cands))
+    for _ in range(samples):
+        # lambda_0..lambda_{n-1}, then rho_0..rho_{n-1}
+        idx = [rng.choice(picks) for _ in range(2 * n)]
+        if not all(compat[i] >> j & 1 for i in idx for j in idx):
+            continue
+        checked += 1
+        maps = [cands[i][0] for i in idx]
+        s = Solution(lam=tuple(maps[:n]), rho=tuple(maps[n:]))
+        if is_solution(s) and relative_inverse(pair_map(s)) is None:
+            candidates.append(s)
+    return {"n": n, "exhaustive": False, "seed": seed, "pairs_checked": checked,
+            "candidates": [(s.lam, s.rho) for s in candidates]}
+
+
+def choice_question2(n, seed, samples):
+    """The sampled evidence of the second open-question search."""
+    all_maps = list(itertools.product(range(n), repeat=n))
+    candidates = []
+    checked = 0
+
+    def consider(s: Solution):
+        nonlocal checked
+        d = abc_family(s)
+        if d is None or relative_inverse(pair_map(s)) is None:
+            return
+        checked += 1
+        if quasi_rack_structure(structure_magma(s, d)) is None:
+            candidates.append(s)
+
+    rng = random.Random(seed)
+    cr = _regular_candidates(n)
+    for _ in range(samples):
+        lam = tuple(f for f, _ in (rng.choice(cr) for _ in range(n)))
+        rho = tuple(rng.choice(all_maps) for _ in range(n))
+        consider(Solution(lam=lam, rho=rho))
+    return {"n": n, "exhaustive": False, "seed": seed, "solutions_meeting_hypotheses": checked,
+            "candidates": [(s.lam, s.rho) for s in candidates]}

@@ -7,6 +7,8 @@ import pytest
 
 from fixtures import count_calls, rebind, run_python
 from oracles import (
+    choice_question1,
+    choice_question2,
     comp,
     naive_automorphism_count,
     naive_canonical_form,
@@ -26,7 +28,9 @@ from yaxl.enumeration import (
     search_question2,
     table1_row,
     TABLE1_EXPECTED,
+    _choices,
     _compat_masks,
+    _compatible,
     _partner_masks,
     _place,
     _regular_candidates,
@@ -35,7 +39,7 @@ from yaxl.enumeration import (
     _value_index,
     quasi_rack_profile,
 )
-from yaxl.fnmap import commutes
+from yaxl.fnmap import commutes, regular_family
 from yaxl.shelves import (
     canonical_form,
     is_canonical,
@@ -350,6 +354,74 @@ def test_question2_walk_is_pinned(monkeypatch):
     assert report["solutions_meeting_hypotheses"] == 264 and len(report["candidates"]) == 78
 
 
+def test_question2_builds_each_rows_masks_once(monkeypatch):
+    # one _masks_of cache serves every lambda family: 10 calls for the
+    # distinct idempotents of the families' compatibility masks, and at
+    # most one per map on 3 points (27) in the placement (4,044 in all
+    # with a cache per lambda)
+    calls = count_calls(monkeypatch, enumeration._masks_of)
+    search_question2(3)
+    assert calls == {"_masks_of": 37}
+
+
+CHOICE_SIZES = [[1], [2], [3], [21], [148], [256], [2**31 + 5], [148] * 4 + [256] * 4]
+
+
+@pytest.mark.parametrize("sizes", CHOICE_SIZES, ids=lambda s: "-".join(map(str, sorted(set(s)))))
+def test_choices_is_the_stream_of_random_choice(sizes):
+    # a change to how CPython's Random.choice draws would change every
+    # sampled report: it fails here first
+    sizes = sizes * (8 // len(sizes))  # eight draws a round, as the searches at n = 4 make
+    seqs = [range(size) for size in sizes]
+    for seed in range(64):
+        drawn = _choices(random.Random(seed), sizes, 20000 // len(sizes))
+        rng = random.Random(seed)
+        expected = [rng.choice(seq) for seq in itertools.islice(itertools.cycle(seqs), 20000)]
+        assert [i for idx in drawn for i in idx] == expected, seed
+
+
+def test_sampled_searches_match_the_choice_loops(monkeypatch):
+    calls = count_calls(monkeypatch, solutions.abc_family)
+    for n, seeds, samples in ((4, range(8), 10000), (5, range(4), 300)):
+        for seed in seeds:
+            for search, oracle in ((search_question1, choice_question1),
+                                   (search_question2, choice_question2)):
+                expected = oracle(n, seed, samples)
+                report = search(n, seed=seed, samples=samples)
+                assert {k: report[k] for k in expected} == expected, (n, seed, search.__name__)
+    # the lambda draws that pass the compatibility masks reach the braid
+    # check (about 1 in 1,000 at n = 4); the others are dropped unchecked
+    assert calls == {"abc_family": 79}
+
+
+def test_compatible_is_quasi_left_nondegeneracy():
+    cands = _regular_candidates(3)
+    assert len(cands) == 21
+    compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
+    passed = 0
+    for idx in itertools.product(range(21), repeat=3):
+        lam = tuple(cands[i][0] for i in idx)
+        ok = _compatible(compat, idx)
+        assert ok == (regular_family(lam) is not None), lam
+        passed += ok
+    assert 0 < passed < 21**3
+
+
+def test_compatible_is_the_all_pairs_test():
+    cands = _regular_candidates(4)
+    compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(20000):
+        # a small pool makes pairwise-compatible lists common
+        pool = rng.sample(range(len(cands)), rng.randint(1, 12))
+        idx = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        ok = _compatible(compat, idx)
+        assert ok == all(compat[i] >> j & 1 for i in idx for j in idx), idx
+        outcomes.add(ok)
+    assert outcomes == {False, True}
+
+
 def _decided(f, sigma, x, y) -> bool:
     # the pairs that _translation_checks' docstring says it decides: the
     # last row placed is x, or it is exactly one of y, t and u, or y = t
@@ -361,7 +433,7 @@ def _decided(f, sigma, x, y) -> bool:
 
 def _translation_families(n, sigma) -> list:
     maps = list(itertools.product(range(n), repeat=n))
-    checks = _translation_checks(_value_index(maps), sigma)
+    checks = _translation_checks(_value_index(maps))(sigma)
     return list(_place(maps, [(1 << len(maps)) - 1] * n, None, *checks))
 
 

@@ -1,8 +1,8 @@
 """Every name a ``yaxl`` module imports at top level is used in it,
 every private top-level function or class is read by some module, the
 row-placement engine and the translation-identity checks have only
-their two callers, and every theorem guarantee fails through
-``fnmap.guarantee``."""
+their two callers, the sampled searches draw through one helper, and
+every theorem guarantee fails through ``fnmap.guarantee``."""
 
 import ast
 from pathlib import Path
@@ -102,6 +102,36 @@ def test_translation_identities_have_one_routine():
     sources = [path.read_text() for path in SRC]
     assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "search_question2"]
     assert placement_callers(sources, "_masks_of") == ["_compat_masks", "_translation_checks"]
+
+
+# the methods of random.Random that draw an index or a sample of their own
+DRAWS = {"choice", "choices", "sample", "randrange", "randint", "shuffle"}
+
+
+def own_draws(sources: list) -> list:
+    """The line of each call ``x.m(...)`` or ``m(...)`` with m in ``DRAWS``."""
+    return [
+        node.lineno
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) in DRAWS or getattr(node.func, "id", None) in DRAWS
+        )
+    ]
+
+
+def test_the_gate_flags_every_own_draw():
+    source = "rng.choice(s)\nrandom.shuffle(s)\nchoice(s)\nrng.getrandbits(3)\nchoice\nx.sample\n"
+    assert own_draws([source]) == [1, 2, 3]
+
+
+def test_sampled_searches_draw_through_one_helper():
+    # every sampled search reads its stream off _choices, which inlines
+    # Random.choice's getrandbits loop; a second stream implementation
+    # fails here
+    sources = [path.read_text() for path in SRC]
+    assert own_draws(sources) == []
+    assert placement_callers(sources, "_choices") == ["search_question1", "search_question2"]
 
 
 # the only definitions that may name AssertionError: the one that raises
