@@ -77,7 +77,9 @@ def _check_shelf(table) -> dict:
     report = {"left_shelf": shelves.is_left_shelf(table)}
     if not report["left_shelf"]:
         return report
-    q = shelves.quasi_rack_structure(table)
+    # the table is a left shelf, so it is a quasi rack iff its rows form a regular family
+    family = fnmap.regular_family(table)
+    q = None if family is None else shelves.QuasiRack(table, family.inv, family.zero)
     # a rack is a quasi rack whose idempotents are all the identity
     rack = q is not None and all(z == tuple(range(q.n)) for z in q.L_zero)
     report.update(rack=rack, quandle=rack and shelves.is_quasi_quandle(q), quasi_rack=q is not None)
@@ -85,7 +87,7 @@ def _check_shelf(table) -> dict:
         return report
     report["quasi_quandle"] = report["quandle"] if rack else shelves.is_quasi_quandle(q)
     d = shelves.derived_map(q)
-    report.update(enumeration._profile(q, d))
+    report.update(enumeration.quasi_rack_profile(q, d))
     if report["derived_is_solution"]:
         report["derived_quasi_bijective"] = fnmap.relative_inverse(solutions.pair_map(d)) is not None
     return report
@@ -350,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

@@ -231,6 +231,9 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
     for pair in pairs:
         if pair not in sys.homs:
             raise ValueError(f"phi[{pair}] is missing")
+    if len(sys.homs) != len(pairs):  # every pair is there, so some key is not one
+        extra = next(key for key in sys.homs if key not in pairs)
+        raise ValueError(f"phi[{extra}] is not a pair a >= b of the semilattice")
     for a, b in pairs:
         f, src, dst = sys.homs[(a, b)], sys.fibers[a], sys.fibers[b]
         if a == b and f != tuple(range(len(src))):

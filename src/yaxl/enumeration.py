@@ -8,7 +8,8 @@ masks down the tree and calls a placement check after each row.  It
 has two callers: the labeled-table search (``_search_labeled``), which
 also yields the lambda families of the open-question searches (quasi
 rack rows without the self-distributivity checks), and the rho tables
-of the second open-question search.  Both place the rows of a
+of ``abc_solutions``, the (A)(B)(C) solutions behind the second
+open-question search.  Both place the rows of a
 translation identity f_x f_y = f_{f_x(y)} f_{sigma(x, y)}: left
 self-distributivity L_x L_y = L_{L_x(y)} L_x, and the third braid
 component rho_z rho_y = rho_{rho_z(y)} rho_{lambda_y(z)}.
@@ -354,20 +355,15 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
     yield from _place(maps, row_masks, compat, *checks)
 
 
-def quasi_rack_profile(q: QuasiRack) -> dict:
+def quasi_rack_profile(q: QuasiRack, d=None) -> dict:
     """The Table 1 flags of a quasi rack, keyed by the ``FILTERS`` names
     in their order: (*), (**), (***) and whether the derived map is a
-    solution."""
-    return _profile(q, derived_map(q))
-
-
-def _profile(q: QuasiRack, d: Solution) -> dict:
-    """``quasi_rack_profile(q)``, given the derived map d of q."""
+    solution; d is the derived map, built here unless the caller has it."""
     return {
         "star": check_star(q),
         "starstar": check_starstar(q),
         "starstarstar": check_starstarstar(q),
-        "derived_is_solution": is_solution(d),
+        "derived_is_solution": is_solution(derived_map(q) if d is None else d),
     }
 
 
@@ -390,11 +386,6 @@ def _searched_quasi_racks(tables):
                 guarantee(t is not None, f"a searched quasi-rack row is not completely regular: {row}")
             row_triples.append(t)
         yield QuasiRack(table, tuple(t.inv for t in row_triples), tuple(t.zero for t in row_triples))
-
-
-def _passes_filters(q: QuasiRack, filters) -> bool:
-    profile = quasi_rack_profile(q)
-    return all(profile[f] for f in filters)
 
 
 def _worker(least, args):
@@ -433,7 +424,8 @@ def enumerate_canonical(
             for part in pool.map(work, [(n, klass, c) for c in chunks]):
                 survivors.extend(part)
     if filters:
-        survivors = [q.table for q in _searched_quasi_racks(survivors) if _passes_filters(q, filters)]
+        survivors = [q.table for q in _searched_quasi_racks(survivors)
+                     if all(map(quasi_rack_profile(q).get, filters))]
     survivors.sort()
     return survivors
 
@@ -669,6 +661,44 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     )
 
 
+def abc_solutions(n: int):
+    """Yield (s, d) with d = ``abc_family(s)`` for every quasi left
+    non-degenerate solution s on n points with (A), (B) and (C), in the
+    lexicographic order of (lambda, rho).
+
+    lambda ranges over the families of completely regular maps whose
+    idempotents commute with every member (``_search_labeled`` with
+    ``shelf=False``).  Given lambda, rho is placed row by row
+    (``_place``) in the lexicographic order of all tables: each cell
+    rho_y(x) ranges over its cell of ``_cell_table(lambda)`` (the first
+    braid component).  The third component, rho_z rho_y = rho_{rho_z(y)}
+    rho_{lambda_y(z)}, is the translation identity of
+    ``_translation_checks`` with sigma(z, y) = lambda_y(z).  It decides,
+    as row k is placed, the pairs with z = k whose rows are placed, and
+    the pairs with z < k in which k is exactly one of y, rho_z(y) and
+    lambda_y(z) (or y = rho_z(y) = k with lambda_y(z) = z).  A pair with
+    z < k in which k occurs twice otherwise is not checked during
+    placement.  ``abc_family`` decides every placed table.
+    """
+    all_maps = list(itertools.product(range(n), repeat=n))
+    at = _value_index(all_maps)
+    checks = _translation_checks(at)  # one _masks_of cache for every lambda
+    for lam in _search_labeled(n, "quasi_rack", shelf=False):
+        row_masks = []
+        for cells in _cell_table(lam):  # cells[x]: the values rho_y(x) may take
+            mask = -1
+            for x, values in enumerate(cells):
+                mask &= sum(at[x][c] for c in values)
+            row_masks.append(mask)
+
+        # the third component: sigma(z, y) = lambda_y(z)
+        for rho in _place(all_maps, row_masks, None, *checks(tuple(zip(*lam)))):
+            s = Solution(lam=lam, rho=rho)
+            d = abc_family(s)
+            if d is not None:
+                yield s, d
+
+
 def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     """Hunt for a quasi bijective, quasi left non-degenerate solution with
     (A), (B), (C) whose structure magma is not a quasi rack.
@@ -680,62 +710,35 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
     any family of maps.  ``solutions_meeting_hypotheses`` counts such r,
     and a candidate is one whose structure magma is not a quasi rack.
 
-    Exhaustive for n <= 3 over every such lambda family and every rho
-    table that two of the braid identity's components allow.  Given
-    lambda, rho is placed row by row (``_place``) in the lexicographic
-    order of all tables: each cell rho_y(x) ranges over its cell of
-    ``_cell_table(lambda)`` (the first component).  The third
-    component, rho_z rho_y = rho_{rho_z(y)} rho_{lambda_y(z)}, is the
-    translation identity of ``_translation_checks`` with sigma(z, y) =
-    lambda_y(z).  It decides, as row k is placed, the pairs with z = k
-    whose rows are placed, and the pairs with z < k in which k is
-    exactly one of y, rho_z(y) and lambda_y(z) (or y = rho_z(y) = k
-    with lambda_y(z) = z).  A pair with z < k in which k occurs twice
-    otherwise is not checked during placement.  The full braid check
-    (``abc_family``) still decides every table.  Seeded
-    sampling at n >= 4 draws each lambda_x among the completely regular
-    maps and each rho_y among all maps (``_choices``).  A sampled lambda
-    that is not quasi left non-degenerate, about 999 in 1,000 at n = 4,
-    is rejected by the compatibility masks of ``_compat_masks``
+    Exhaustive for n <= 3 over every solution of ``abc_solutions``.
+    Seeded sampling at n >= 4 draws each lambda_x among the completely
+    regular maps and each rho_y among all maps (``_choices``).  A sampled
+    lambda that is not quasi left non-degenerate, about 999 in 1,000 at
+    n = 4, is rejected by the compatibility masks of ``_compat_masks``
     (``_compatible``) before the braid check, as ``abc_family`` would
     reject it.  The report never asserts an answer.
     """
     exhaustive = _exhaustive(n, seed, samples)
-    all_maps = list(itertools.product(range(n), repeat=n))
     candidates = []
     checked = 0
 
-    def consider(s: Solution):
-        nonlocal checked
-        d = abc_family(s)
-        if d is None or relative_inverse(pair_map(s)) is None:
-            return
-        checked += 1
-        if quasi_rack_structure(structure_magma(s, d)) is None:
-            candidates.append(s)
-
-    if exhaustive:
-        at = _value_index(all_maps)
-        checks = _translation_checks(at)  # one _masks_of cache for every lambda
-        for lam in _search_labeled(n, "quasi_rack", shelf=False):
-            row_masks = []
-            for cells in _cell_table(lam):  # cells[x]: the values rho_y(x) may take
-                mask = -1
-                for x, values in enumerate(cells):
-                    mask &= sum(at[x][c] for c in values)
-                row_masks.append(mask)
-
-            # the third component: sigma(z, y) = lambda_y(z)
-            for rho in _place(all_maps, row_masks, None, *checks(tuple(zip(*lam)))):
-                consider(Solution(lam=lam, rho=rho))
-    else:
+    def sampled():
+        maps = list(itertools.product(range(n), repeat=n))
         cr = _regular_candidates(n)
         compat = _compat_masks(cr, _value_index([f for f, _ in cr]))
         # lambda_0..lambda_{n-1} among cr, then rho_0..rho_{n-1} among all maps
-        for idx in _choices(random.Random(seed), [len(cr)] * n + [len(all_maps)] * n, samples):
+        for idx in _choices(random.Random(seed), [len(cr)] * n + [len(maps)] * n, samples):
             if _compatible(compat, idx[:n]):  # else lambda is not quasi left non-degenerate
-                lam = tuple(cr[i][0] for i in idx[:n])
-                consider(Solution(lam=lam, rho=tuple(all_maps[i] for i in idx[n:])))
+                s = Solution(lam=tuple(cr[i][0] for i in idx[:n]), rho=tuple(maps[i] for i in idx[n:]))
+                d = abc_family(s)
+                if d is not None:
+                    yield s, d
+
+    for s, d in abc_solutions(n) if exhaustive else sampled():
+        if relative_inverse(pair_map(s)) is not None:
+            checked += 1
+            if quasi_rack_structure(structure_magma(s, d)) is None:
+                candidates.append(s)
     return _report(
         "is the structure magma of every quasi bijective, quasi left "
         "non-degenerate solution with (A), (B), (C) a quasi rack?",

@@ -120,7 +120,10 @@ def _split(q: QuasiRack) -> tuple:
         if ij == j
     }
     p = PlonkaSystem(meet, fibers, homs)
-    validate_system(p, is_rack)
+    try:  # built here from a quasi rack with (*) and (***), not read from input
+        validate_system(p, is_rack)
+    except ValueError as e:
+        guarantee(False, f"the decomposition is not a Plonka system of racks: {e}")
     off = p.offsets()
     perm = [off[c] + k for c, k in zip(cls, place)]
     return p, relabel(q.table, perm) == semilattice_sum(p)

@@ -17,7 +17,9 @@ layout:
 
 The weak brace "n" and the semilattice "m" may be left out; when given
 they must be integers equal to the size of their tables.
-Parsers raise ValueError with a line reference on malformed text.
+Parsers raise ValueError with a line reference on malformed text, and
+refuse any line after the last row that is neither blank nor a '#'
+comment.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ def _parse_rows(lines, n, start):
             raise ValueError(f"line {idx + 1}: expected {n} entries, got {len(row)}")
         rows.append(row)
     return tuple(rows)
+
+
+def _parse_end(lines, start) -> None:
+    """Refuse a line at ``start`` or after that is neither blank nor a
+    comment: the text holds one structure."""
+    for idx in range(start, len(lines)):
+        if lines[idx].strip():
+            raise ValueError(f"line {idx + 1}: unexpected content after the last row")
 
 
 def _parse_size(lines) -> int:
@@ -86,7 +96,10 @@ def magma_to_text(table: Magma) -> str:
 
 def magma_from_text(text: str) -> Magma:
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    return validate_table(_parse_rows(lines, _parse_size(lines), 1))
+    n = _parse_size(lines)
+    table = _parse_rows(lines, n, 1)
+    _parse_end(lines, 1 + n)
+    return validate_table(table)
 
 
 def magma_to_json(table: Magma) -> str:
@@ -115,6 +128,7 @@ def solution_from_text(text: str) -> Solution:
     if n > 0 and (len(lines) <= 1 + n or lines[1 + n].strip()):
         raise ValueError(f"line {n + 2}: expected a blank separator line")
     rho = _parse_rows(lines, n, 2 + n)
+    _parse_end(lines, 2 + 2 * n if n else 1)  # no separator line without rows
     validate_table(lam), validate_table(rho)
     return Solution(lam=lam, rho=rho)
 
@@ -167,6 +181,8 @@ def _system_from_json(text: str, fiber_key: str) -> SemilatticeSystem:
         homs = {}
         for h in data["homs"]:
             a, b = _json_int(h["from"], "hom key 'from'"), _json_int(h["to"], "hom key 'to'")
+            if (a, b) in homs:
+                raise ValueError(f"phi[{(a, b)}] is given twice")
             homs[a, b] = tuple(h["map"])
     except (TypeError, KeyError):
         raise ValueError("system is not laid out as documented") from None

@@ -230,32 +230,40 @@ def naive_question1(n):
             "candidates": candidates}
 
 
-def naive_question2(n):
-    """The evidence of the second open-question search, from every quasi
-    lambda family against every rho table with no pruning: solutions with
-    (A), (B), (C) whose pair map is completely regular, and among them
-    those whose structure magma is not a quasi rack."""
+def naive_abc_solutions(n):
+    """Every quasi lambda family against every rho table with no pruning,
+    in lexicographic order: (lambda, rho, the relative inverses of lambda)
+    for each pair that satisfies the braid identity and (A), (B), (C)."""
     maps = list(itertools.product(range(n), repeat=n))
-    checked, candidates = 0, []
     for lam in naive_quasi_families(n):
         inv = [brute_relative_inverses(f)[0] for f in lam]
         zero = [comp(f, g) for f, g in zip(lam, inv)]
         pairs = [(x, y) for x in range(n) for y in range(n)]
         for rho in itertools.product(maps, repeat=n):
-            if not (
+            if (
                 naive_component_identities(lam, rho)
                 and all(zero[lam[x][y]] == comp(zero[x], zero[y]) for x, y in pairs)
                 and all(rho[y][x] == zero[lam[x][y]][rho[zero[x][y]][x]] for x, y in pairs)
                 and all(comp(z, g) == comp(g, z) for z in zero for g in rho)
-                and naive_is_completely_regular(naive_pair_map(lam, rho))
             ):
-                continue
-            checked += 1
-            magma = tuple(
-                tuple(lam[x][rho[inv[y][x]][y]] for y in range(n)) for x in range(n)
-            )
-            if not naive_is_quasi_rack(magma):
-                candidates.append((lam, rho))
+                yield lam, rho, inv
+
+
+def naive_question2(n):
+    """The evidence of the second open-question search, from
+    ``naive_abc_solutions``: the solutions whose pair map is completely
+    regular, and among them those whose structure magma is not a quasi
+    rack."""
+    checked, candidates = 0, []
+    for lam, rho, inv in naive_abc_solutions(n):
+        if not naive_is_completely_regular(naive_pair_map(lam, rho)):
+            continue
+        checked += 1
+        magma = tuple(
+            tuple(lam[x][rho[inv[y][x]][y]] for y in range(n)) for x in range(n)
+        )
+        if not naive_is_quasi_rack(magma):
+            candidates.append((lam, rho))
     return {"n": n, "exhaustive": True, "solutions_meeting_hypotheses": checked,
             "candidates": candidates}
 

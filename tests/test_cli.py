@@ -72,26 +72,32 @@ def test_check_shelf_report_matches_the_public_predicates():
             assert list(_check_shelf(t).items()) == list(_shelf_report(t).items()), t
 
 
-def test_check_shelf_decides_self_distributivity_twice(tmp_path, monkeypatch, capsys):
-    path = write(tmp_path, "q.txt", magma_to_text(dihedral_quandle(3)))
-    calls = count_calls(monkeypatch, shelves.is_left_shelf)
+def test_check_shelf_decides_self_distributivity_once(tmp_path, monkeypatch, capsys):
+    # every row is the map (1, 2, 2), which is not completely regular: a
+    # left shelf that is not a quasi rack
+    path = write(tmp_path, "s.txt", magma_to_text(((1, 2, 2),) * 3))
+    calls = count_calls(monkeypatch, shelves.is_left_shelf, shelves.quasi_rack_structure)
     assert main(["check", "shelf", path]) == 0
-    # once itself and once in quasi_rack_structure; rack and quandle are
-    # read off its idempotents (4 calls before: is_rack and is_quandle too)
-    assert calls == {"is_left_shelf": 2}
-    assert json.loads(capsys.readouterr().out)["quandle"] is True
+    # the quasi-rack data is read off regular_family, without a second
+    # self-distributivity check inside quasi_rack_structure
+    assert calls == {"is_left_shelf": 1, "quasi_rack_structure": 0}
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"left_shelf": True, "rack": False, "quandle": False, "quasi_rack": False}
 
 
 def test_check_shelf_builds_the_derived_map_once(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "q.txt", magma_to_text(dihedral_quandle(3)))
     calls = count_calls(monkeypatch, shelves.derived_map, shelves.is_quasi_quandle,
-                        solutions.from_pair_map)
+                        solutions.from_pair_map, shelves.is_left_shelf)
     assert main(["check", "shelf", path]) == 0
     # one derived map serves derived_is_solution and derived_quasi_bijective,
     # whose relative inverse is not decoded; quandle and quasi_quandle share
-    # one diagonal test (2, 2 and 1 calls when each flag was decided apart)
-    assert calls == {"derived_map": 1, "is_quasi_quandle": 1, "from_pair_map": 0}
-    assert json.loads(capsys.readouterr().out)["derived_quasi_bijective"] is True
+    # one diagonal test (2, 2 and 1 calls when each flag was decided apart);
+    # rack and quandle are read off the idempotents, so self-distributivity
+    # is decided once
+    assert calls == {"derived_map": 1, "is_quasi_quandle": 1, "from_pair_map": 0, "is_left_shelf": 1}
+    report = json.loads(capsys.readouterr().out)
+    assert report["quandle"] is True and report["derived_quasi_bijective"] is True
 
 
 def test_check_shelf_failing_property(tmp_path):
@@ -209,6 +215,15 @@ def test_enumerate_stream(capsys):
     assert main(["enumerate", "--n", "2", "--class", "quandle", "--stream"]) == 0
     out = capsys.readouterr().out
     assert "# count: 1" in out
+
+
+def test_check_refuses_a_stream_of_tables(tmp_path, capsys):
+    # an enumerate --stream file holds several tables, here the two racks
+    # on 2 points after a blank line each; check reads one
+    assert main(["enumerate", "--n", "2", "--class", "rack", "--stream"]) == 0
+    path = write(tmp_path, "stream.txt", capsys.readouterr().out)
+    assert main(["check", "shelf", path]) == 2
+    assert capsys.readouterr().err == "error: line 5: unexpected content after the last row\n"
 
 
 def test_enumerate_stream_workers_agree(capsys):
@@ -337,6 +352,8 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
                               '"homs": [{"from": 0, "to": 0, "map": [0]}]}'),
         (["construct", "clifford"], '{"semilattice": {"m": true, "meet": [[0]]}, '
                                     '"groups": [[[0]]], "homs": [{"from": 0, "to": 0, "map": [0]}]}'),
+        (["check", "shelf"], "1\n0\n5 5 5\n"),
+        (["check", "solution"], "1\n0\n\n0\nextra\n"),
     ],
     ids=[
         "string-entry",
@@ -367,6 +384,8 @@ def test_construct_clifford_rejects_bad_system(tmp_path, capsys, sys_):
         "brace-solution-size-float",
         "semilattice-size-mismatch",
         "semilattice-size-bool",
+        "shelf-trailing-row",
+        "solution-trailing-row",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, content):
@@ -379,6 +398,33 @@ def test_missing_gluing_map_is_named(tmp_path, capsys):
     content = '{"semilattice": {"m": 1, "meet": [[0]]}, "fibers": [[[0]]], "homs": []}'
     assert main(["check", "plonka", write(tmp_path, "p.json", content)]) == 2
     assert capsys.readouterr().err == "error: phi[(0, 0)] is missing\n"
+
+
+# the two-point chain of one-point fibers, with its gluing maps listed
+# in between the given ones
+_CHAIN_PLONKA = (
+    '{"semilattice": {"m": 2, "meet": [[0, 0], [0, 1]]}, "fibers": [[[0]], [[0]]], '
+    '"homs": [%s{"from": 0, "to": 0, "map": [0]}, {"from": 1, "to": 1, "map": [0]}, '
+    '{"from": 1, "to": 0, "map": [0]}%s]}'
+)
+
+
+@pytest.mark.parametrize("command", [["check", "plonka"], ["construct", "plonka-sum"]])
+@pytest.mark.parametrize(
+    "before, after, message",
+    [
+        ('{"from": 1, "to": 0, "map": [7]}, ', "", "phi[(1, 0)] is given twice"),
+        ("", ', {"from": 9, "to": -3, "map": "zz"}', "phi[(9, -3)] is not a pair a >= b of the semilattice"),
+    ],
+    ids=["repeated-pair", "stray-pair"],
+)
+def test_gluing_maps_outside_the_required_pairs_are_refused(tmp_path, capsys, command, before, after, message):
+    # the same system without the extra map is accepted; with it, neither
+    # an overwritten nor an ignored map passes silently
+    assert main(command + [write(tmp_path, "ok.json", _CHAIN_PLONKA % ("", ""))]) == 0
+    capsys.readouterr()
+    assert main(command + [write(tmp_path, "bad.json", _CHAIN_PLONKA % (before, after))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Every command that reads a JSON file, as the argument list before the path.

@@ -10,6 +10,7 @@ from oracles import (
     choice_question1,
     choice_question2,
     comp,
+    naive_abc_solutions,
     naive_automorphism_count,
     naive_canonical_form,
     naive_class_tables,
@@ -28,6 +29,7 @@ from yaxl.enumeration import (
     search_question2,
     table1_row,
     TABLE1_EXPECTED,
+    abc_solutions,
     _choices,
     _compat_masks,
     _compatible,
@@ -288,6 +290,14 @@ def test_question2_matches_unpruned_oracle(n):
     expected = naive_question2(n)
     report = search_question2(n)
     assert {k: report[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_abc_solutions_match_unpruned_oracle(n):
+    # the same solutions in the same order, each with the relative
+    # inverses of its lambda family
+    found = [(s.lam, s.rho, list(d.inv)) for s, d in abc_solutions(n)]
+    assert found == list(naive_abc_solutions(n))
 
 
 def test_cell_filter_drops_only_non_solutions():

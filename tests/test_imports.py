@@ -90,9 +90,10 @@ def test_the_gate_finds_every_placement_caller():
 
 def test_place_has_two_callers():
     # the labeled search (which also yields the lambda families) and
-    # Q2's rho tables; a third placement entry point fails here
+    # the rho tables of the (A)(B)(C) solutions behind Q2; a third
+    # placement entry point fails here
     callers = placement_callers([path.read_text() for path in SRC], "_place")
-    assert callers == ["_search_labeled", "search_question2"]
+    assert callers == ["_search_labeled", "abc_solutions"]
 
 
 def test_translation_identities_have_one_routine():
@@ -100,7 +101,7 @@ def test_translation_identities_have_one_routine():
     # one routine, and only it and the idempotent-centrality masks build
     # the translation masks; a second pair loop or mask builder fails here
     sources = [path.read_text() for path in SRC]
-    assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "search_question2"]
+    assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "abc_solutions"]
     assert placement_callers(sources, "_masks_of") == ["_compat_masks", "_translation_checks"]
 
 

@@ -20,7 +20,7 @@ from yaxl.plonka import (
     solution_as_strong_semilattice,
     sum_structure_check,
 )
-from yaxl.serialization import plonka_to_json
+from yaxl.serialization import magma_to_text, plonka_to_json
 from yaxl.shelves import (
     are_isomorphic,
     check_star,
@@ -142,6 +142,32 @@ def test_a_plonka_sum_guarantee_fires_under_python_O(tmp_path):
     assert done.returncode == 3, done.stderr
     assert done.stderr.splitlines() == [
         "internal error (theorem guarantee violated): the idempotents L^0 of a Plonka sum are not central"
+    ]
+
+
+# ``yaxl decompose`` with the fiber test patched to fail, run under
+# python -O: the system is built by the decomposition, so a failed
+# validation is a broken guarantee (exit 3), not bad input (exit 2)
+NOT_A_RACK = """
+import sys
+from yaxl import cli, plonka
+if __debug__:
+    sys.exit("not running under -O")
+def is_rack(table):
+    return False
+plonka.is_rack = is_rack
+sys.exit(cli.main(["decompose", sys.argv[1]]))
+"""
+
+
+def test_a_decomposition_that_fails_validation_fires_under_python_O(tmp_path):
+    path = tmp_path / "q.txt"
+    path.write_text(magma_to_text(plonka_sum(two_chain(trivial_quandle(1), dihedral_quandle(3), (0, 0, 0)))))
+    done = run_python("-O", "-c", NOT_A_RACK, str(path))
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.splitlines() == [
+        "internal error (theorem guarantee violated): "
+        "the decomposition is not a Plonka system of racks: fiber 0 fails is_rack"
     ]
 
 

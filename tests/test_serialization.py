@@ -31,8 +31,9 @@ def test_magma_text_roundtrip():
     text = magma_to_text(t)
     assert text == "3\n0 2 1\n2 1 0\n1 0 2\n"
     assert magma_from_text(text) == t
-    # comment lines are skipped anywhere
+    # comment lines are skipped anywhere, and blank lines after the rows
     assert magma_from_text("# header\n" + text) == t
+    assert magma_from_text(text + "\n# count: 1\n\n") == t
 
 
 def test_magma_text_errors():
@@ -46,6 +47,8 @@ def test_magma_text_errors():
         magma_from_text("2\n0 1 0\n0 1\n")  # wrong row length
     with pytest.raises(ValueError):
         magma_from_text("2\n0 2\n0 1\n")  # entry out of range
+    with pytest.raises(ValueError, match="^line 4: unexpected content after the last row$"):
+        magma_from_text("2\n0 1\n0 1\n0 1\n")  # a third row
 
 
 def test_magma_json_roundtrip():
@@ -61,6 +64,11 @@ def test_solution_text_roundtrip():
     assert solution_from_text(text) == s
     with pytest.raises(ValueError):
         solution_from_text("2\n0 1\n0 1\n0 1\n0 1\n")  # no blank separator
+    assert solution_from_text(text + "\n") == s
+    with pytest.raises(ValueError, match="^line 9: unexpected content after the last row$"):
+        solution_from_text(text + "0 1 2\n")  # a fourth rho row
+    with pytest.raises(ValueError, match="^line 2: "):
+        solution_from_text("0\n0\n")  # no rows, so nothing may follow the size
 
 
 def test_solution_json_roundtrip():

@@ -3,15 +3,16 @@ import random
 import pytest
 
 from fixtures import dihedral_quandle, trivial_quandle
-from yaxl.enumeration import enumerate_canonical
+from yaxl.enumeration import abc_solutions, enumerate_canonical
 from yaxl.fnmap import identity
 from yaxl.shelves import (
     check_star,
     check_starstar,
     derived_map,
+    is_left_shelf,
     quasi_rack_structure,
 )
-from yaxl.solutions import is_solution, quasi_left_nondeg
+from yaxl.solutions import abc_family, is_solution, quasi_left_nondeg, structure_magma
 from yaxl.twists import (
     is_g_twist,
     l0_com_holds,
@@ -126,6 +127,25 @@ def test_twist_extraction_checks_the_shelf_once(monkeypatch):
     monkeypatch.setattr(twists, "is_left_shelf", counted)
     twist_from_solution(derived_map(quasi_rack_structure(dihedral_quandle(3))))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, solutions, quasi_racks", [(1, 1, 1), (2, 18, 14), (3, 552, 372)])
+def test_every_abc_solution_is_a_g_twist(n, solutions, quasi_racks):
+    # every quasi left non-degenerate solution with (A), (B), (C) on n
+    # points, from the rho placement behind Q2: its structure magma is a
+    # left shelf, it has a twist presentation over that shelf, and the
+    # presentation gives the solution back
+    found = racks = 0
+    for s, d in abc_solutions(n):
+        assert d == abc_family(s)
+        table = structure_magma(s, d)
+        assert is_left_shelf(table), s
+        t = twist_from_solution(s)
+        assert t.table == table and is_g_twist(t), s
+        assert solution_from_twist(t) == s
+        found += 1
+        racks += quasi_rack_structure(table) is not None
+    assert (found, racks) == (solutions, quasi_racks)
 
 
 def test_twist_from_solution_rejects():
