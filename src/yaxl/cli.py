@@ -242,12 +242,14 @@ def cmd_construct(args) -> int:
 
 def cmd_decompose(args) -> int:
     text = _read(args.path)
-    table = _load("magma", text)
-    q = shelves.quasi_rack_structure(table)
-    if q is None or not (shelves.check_star(q) and shelves.check_starstarstar(q)):
+    q = shelves.quasi_rack_structure(_load("magma", text))
+    try:  # decides (*) and (***), and checks that the sum of p is q relabeled
+        p = None if q is None else plonka.decompose(q)
+    except ValueError:
+        p = None
+    if p is None:
         print("decomposition requires a quasi rack with (*) and (***)", file=sys.stderr)
         return 1
-    p = plonka.decompose(q)  # checks that the sum of p is q relabeled
     _emit(args, serialization.plonka_to_json(p), _provenance(text.encode()), text=False)
     return 0
 

@@ -7,9 +7,9 @@ candidate bitmask low bit first, intersects per-candidate compatibility
 masks down the tree and calls a placement check after each row.  It
 has two callers: the labeled-table search (``_search_labeled``), which
 also yields the lambda families of the open-question searches (quasi
-rack rows without the self-distributivity checks), and the rho tables
-of ``abc_solutions``, the (A)(B)(C) solutions behind the second
-open-question search.  Both place the rows of a
+rack rows without the self-distributivity checks), and
+``_rho_placements``, which places the rho of both open-question
+searches given lambda.  Both place the rows of a
 translation identity f_x f_y = f_{f_x(y)} f_{sigma(x, y)}: left
 self-distributivity L_x L_y = L_{L_x(y)} L_x, and the third braid
 component rho_z rho_y = rho_{rho_z(y)} rho_{lambda_y(z)}.
@@ -528,34 +528,49 @@ def _cell_table(f) -> list:
     return [[[c for c in span if comp[f[x][y]][c] == comp[x][y]] for x in span] for y in span]
 
 
-def _partner_masks(families) -> list:
-    """Bit j of entry i is set iff the pair (lambda, rho) = (f_i, f_j)
-    meets both cell restrictions of ``_cell_table``: each f_j[y][x] is
-    in cell (y, x) of f_i's table (the first braid component) and each
-    f_i[y][x] in cell (y, x) of f_j's (the third).  So bit j of entry i
-    is bit i of entry j.
+def _rho_placements(n: int, klass: str, lams):
+    """Yield the tables (lambda, rho) as a ``Solution``, unchecked, for
+    each lambda of ``lams`` and each rho with rows among the class's
+    candidate rows (``_row_candidates``; for a quasi class, rho is quasi
+    right non-degenerate by ``_compat_masks``), in the lexicographic
+    order of the tables.
 
-    Cell (y, x) is entry y * n + x of the flattened families and tables:
-    ``at[cell][c]`` (``_value_index``) holds the families whose entry
-    there is c, ``allowed[cell][c]`` those whose cell admits c.
+    Each cell rho_y(x) ranges over its cell of ``_cell_table(lambda)``
+    (the first braid component).  The third, rho_z rho_y = rho_{rho_z(y)}
+    rho_{lambda_y(z)}, is the translation identity of
+    ``_translation_checks`` with sigma(z, y) = lambda_y(z), which leaves
+    the pairs its docstring names undecided; so the caller decides the
+    braid identity of every pair yielded.
     """
-    n = len(families[0])
-    flat = [sum(g, ()) for g in families]
-    at = _value_index(flat)
-    allowed = [[0] * n for _ in at]
-    masks = []
-    for i, f in enumerate(families):
-        mask = -1  # the rho that the first component allows with lambda = f_i
-        for cell, values in enumerate(sum(_cell_table(f), [])):
-            # one value per cell, so the masks of distinct values are disjoint
-            mask &= sum(at[cell][c] for c in values)
-            for c in values:
-                allowed[cell][c] |= 1 << i
-        masks.append(mask)
-    for i, g in enumerate(flat):  # and whose own table admits lambda = f_i
-        for cell, c in enumerate(g):
-            masks[i] &= allowed[cell][c]
-    return masks
+    base, _ = _row_candidates(n, klass)
+    maps = [f for f, _ in base]
+    at = _value_index(maps)
+    compat = _compat_masks(base, at) if klass in _QUASI else None
+    checks = _translation_checks(at)  # one _masks_of cache for every lambda
+    for lam in lams:
+        row_masks = [-1] * n
+        for y, cells in enumerate(_cell_table(lam)):  # cells[x]: the values rho_y(x) may take
+            for x, values in enumerate(cells):
+                row_masks[y] &= sum(at[x][c] for c in values)
+        # the third component: sigma(z, y) = lambda_y(z)
+        for rho in _place(maps, row_masks, compat, *checks(tuple(zip(*lam)))):
+            yield Solution(lam=lam, rho=rho)
+
+
+def _orbits(items) -> list:
+    """The set of simultaneous relabelings of each item, a tuple of tables
+    on the same points.  With q(i) the old name of new label i and p =
+    q^-1, row i of a relabeled table f is p f_{q(i)} q; each distinct row
+    is conjugated once per relabeling."""
+    span = range(len(items[0][0]))
+    rows = {row for item in items for table in item for row in table}
+    orbits = [set() for _ in items]
+    for q in itertools.permutations(span):
+        p = sorted(span, key=q.__getitem__)
+        conj = {f: tuple([p[f[v]] for v in q]) for f in rows}
+        for orbit, item in zip(orbits, items):
+            orbit.add(tuple([tuple([conj[table[i]] for i in q]) for table in item]))
+    return orbits
 
 
 def _choices(rng, sizes, rounds):
@@ -612,37 +627,33 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     satisfies the braid identity; a candidate is such an r whose pair
     map has no relative inverse.
 
-    Exhaustive for n <= 3 over every pair of such families.  The braid
-    identity's first component restricts each rho cell rho_y(x) given
-    lambda, its third restricts each lambda cell lambda_y(z) given rho.
-    ``_partner_masks`` reads both restrictions off one ``_cell_table``
-    per family; they are necessary for the braid identity, so they only
-    prune: the search walks the pairs that pass both (5,880 of 393,129
-    at n = 3), and the full braid check decides each of them.
-    ``pairs_checked`` counts every pair of the family product.  Seeded
-    random sampling at n >= 4 draws each member independently
+    Exhaustive for n <= 3 over every pair of such families: lambda over
+    one family per simultaneous relabeling (``_search_labeled`` with
+    ``canonical``), rho by ``_rho_placements`` (1,332 over 117 lambda at
+    n = 3), each pair decided by the full braid check.  Relabeling both
+    families at once keeps the hypotheses, so the candidates are the
+    orbits (``_orbits``) of those found, sorted as a walk over every
+    labeled lambda lists them, and ``pairs_checked`` is the square of
+    the labeled lambda count, the orbit sizes' sum (393,129 at n = 3).
+    Seeded random sampling at n >= 4 draws each member independently
     (``_choices``) and keeps a pair only when every idempotent commutes
     with every member of the lambda and rho families together
     (``_compatible``), a stricter hypothesis: at n = 2 it holds for 46
     of the 100 exhaustive pairs, at n = 3 for 68,349 of 393,129.  The
-    report never asserts an answer: an empty candidate
-    list means only that no counterexample was found among the
-    structures checked.
+    report never asserts an answer: an empty candidate list means only
+    that no counterexample was found among the structures checked.
     """
     exhaustive = _exhaustive(n, seed, samples)
     candidates = []
     checked = 0
     if exhaustive:
-        families = list(_search_labeled(n, "quasi_rack", shelf=False))
-        checked = len(families) ** 2
-        for lam, todo in zip(families, _partner_masks(families)):
-            while todo:  # the other pairs fail a braid component
-                low = todo & -todo
-                todo ^= low
-                s = Solution(lam=lam, rho=families[low.bit_length() - 1])
-                # quasi non-degenerate by construction of the families
-                if is_solution(s) and relative_inverse(pair_map(s)) is None:
-                    candidates.append(s)
+        lams = list(_search_labeled(n, "quasi_rack", shelf=False, canonical=True))
+        # quasi non-degenerate by construction of the families
+        found = [(s.lam, s.rho) for s in _rho_placements(n, "quasi_rack", lams)
+                 if is_solution(s) and relative_inverse(pair_map(s)) is None]
+        orbits = _orbits([(lam,) for lam in lams] + found)
+        checked = sum(map(len, orbits[:len(lams)])) ** 2
+        candidates = [Solution(lam=lam, rho=rho) for lam, rho in sorted(set().union(*orbits[len(lams):]))]
     else:
         cands = _regular_candidates(n)
         compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
@@ -668,35 +679,13 @@ def abc_solutions(n: int):
 
     lambda ranges over the families of completely regular maps whose
     idempotents commute with every member (``_search_labeled`` with
-    ``shelf=False``).  Given lambda, rho is placed row by row
-    (``_place``) in the lexicographic order of all tables: each cell
-    rho_y(x) ranges over its cell of ``_cell_table(lambda)`` (the first
-    braid component).  The third component, rho_z rho_y = rho_{rho_z(y)}
-    rho_{lambda_y(z)}, is the translation identity of
-    ``_translation_checks`` with sigma(z, y) = lambda_y(z).  It decides,
-    as row k is placed, the pairs with z = k whose rows are placed, and
-    the pairs with z < k in which k is exactly one of y, rho_z(y) and
-    lambda_y(z) (or y = rho_z(y) = k with lambda_y(z) = z).  A pair with
-    z < k in which k occurs twice otherwise is not checked during
-    placement.  ``abc_family`` decides every placed table.
+    ``shelf=False``), and rho over the tables of every map that
+    ``_rho_placements`` places; ``abc_family`` decides each of them.
     """
-    all_maps = list(itertools.product(range(n), repeat=n))
-    at = _value_index(all_maps)
-    checks = _translation_checks(at)  # one _masks_of cache for every lambda
-    for lam in _search_labeled(n, "quasi_rack", shelf=False):
-        row_masks = []
-        for cells in _cell_table(lam):  # cells[x]: the values rho_y(x) may take
-            mask = -1
-            for x, values in enumerate(cells):
-                mask &= sum(at[x][c] for c in values)
-            row_masks.append(mask)
-
-        # the third component: sigma(z, y) = lambda_y(z)
-        for rho in _place(all_maps, row_masks, None, *checks(tuple(zip(*lam)))):
-            s = Solution(lam=lam, rho=rho)
-            d = abc_family(s)
-            if d is not None:
-                yield s, d
+    for s in _rho_placements(n, "shelf", _search_labeled(n, "quasi_rack", shelf=False)):
+        d = abc_family(s)
+        if d is not None:
+            yield s, d
 
 
 def search_question2(n: int, seed=None, samples: int = 10000) -> dict:

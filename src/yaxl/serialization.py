@@ -32,35 +32,42 @@ from .solutions import Solution
 from .twists import TwistFamily, make_twist_family
 
 
-def _parse_rows(lines, n, start):
+def _content(text: str) -> tuple:
+    """The lines that are not '#' comments, and the number of each in
+    the text, then that of the line after the text (of a missing row)."""
+    lines = text.splitlines()
+    kept = [k for k, ln in enumerate(lines) if not ln.startswith("#")]
+    return [lines[k] for k in kept], [k + 1 for k in kept] + [len(lines) + 1]
+
+
+def _parse_rows(lines, numbers, n, start):
     rows = []
-    for k in range(n):
-        idx = start + k
+    for idx in range(start, start + n):
         try:
             row = tuple(int(v) for v in lines[idx].split())
         except (IndexError, ValueError):
-            raise ValueError(f"line {idx + 1}: expected {n} integers")
+            raise ValueError(f"line {numbers[idx]}: expected {n} integers")
         if len(row) != n:
-            raise ValueError(f"line {idx + 1}: expected {n} entries, got {len(row)}")
+            raise ValueError(f"line {numbers[idx]}: expected {n} entries, got {len(row)}")
         rows.append(row)
     return tuple(rows)
 
 
-def _parse_end(lines, start) -> None:
+def _parse_end(lines, numbers, start) -> None:
     """Refuse a line at ``start`` or after that is neither blank nor a
     comment: the text holds one structure."""
     for idx in range(start, len(lines)):
         if lines[idx].strip():
-            raise ValueError(f"line {idx + 1}: unexpected content after the last row")
+            raise ValueError(f"line {numbers[idx]}: unexpected content after the last row")
 
 
-def _parse_size(lines) -> int:
+def _parse_size(lines, numbers) -> int:
     try:
         n = int(lines[0])
     except (IndexError, ValueError):
-        raise ValueError("line 1: expected the carrier size")
+        raise ValueError(f"line {numbers[0]}: expected the carrier size")
     if n < 0:
-        raise ValueError("line 1: the carrier size is negative")
+        raise ValueError(f"line {numbers[0]}: the carrier size is negative")
     return n
 
 
@@ -95,10 +102,10 @@ def magma_to_text(table: Magma) -> str:
 
 
 def magma_from_text(text: str) -> Magma:
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    n = _parse_size(lines)
-    table = _parse_rows(lines, n, 1)
-    _parse_end(lines, 1 + n)
+    lines, numbers = _content(text)
+    n = _parse_size(lines, numbers)
+    table = _parse_rows(lines, numbers, n, 1)
+    _parse_end(lines, numbers, 1 + n)
     return validate_table(table)
 
 
@@ -122,13 +129,13 @@ def solution_to_text(s: Solution) -> str:
 
 
 def solution_from_text(text: str) -> Solution:
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    n = _parse_size(lines)
-    lam = _parse_rows(lines, n, 1)
+    lines, numbers = _content(text)
+    n = _parse_size(lines, numbers)
+    lam = _parse_rows(lines, numbers, n, 1)
     if n > 0 and (len(lines) <= 1 + n or lines[1 + n].strip()):
-        raise ValueError(f"line {n + 2}: expected a blank separator line")
-    rho = _parse_rows(lines, n, 2 + n)
-    _parse_end(lines, 2 + 2 * n if n else 1)  # no separator line without rows
+        raise ValueError(f"line {numbers[1 + n]}: expected a blank separator line")
+    rho = _parse_rows(lines, numbers, n, 2 + n)
+    _parse_end(lines, numbers, 2 + 2 * n if n else 1)  # no separator line without rows
     validate_table(lam), validate_table(rho)
     return Solution(lam=lam, rho=rho)
 

@@ -226,6 +226,23 @@ def test_check_refuses_a_stream_of_tables(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 5: unexpected content after the last row\n"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("shelf", "# header\n2\n0 1\n0 x\n", "line 4: expected 2 integers"),
+    ("shelf", "# a\n# b\n2\n0 1\n", "line 5: expected 2 integers"),
+    ("shelf", "# a\n2\n0 1\n# b\n0 1 1\n", "line 5: expected 2 entries, got 3"),
+    ("solution", "# a\n2\n0 1\n0 1\n# b\n0 0\n0 0\n", "line 6: expected a blank separator line"),
+    ("solution", "# a\n2\n0 1\n0 1\n", "line 5: expected a blank separator line"),
+    ("shelf", "# a\n2\n0 1\n0 1\n# b\n1 0\n", "line 6: unexpected content after the last row"),
+    ("solution", "# a\n2\n0 1\n0 1\n\n# b\n0 0\n0 0\n1\n", "line 9: unexpected content after the last row"),
+    ("shelf", "# a\n\n", "line 2: expected the carrier size"),
+], ids=["bad-entry", "missing-row", "long-row", "bad-separator", "missing-separator",
+        "after-a-magma", "after-a-solution", "no-size"])
+def test_parse_errors_count_comment_lines(tmp_path, capsys, command, text, message):
+    # the line numbers are those of the file, '#' comment lines included
+    assert main(["check", command, write(tmp_path, "t.txt", text)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_enumerate_stream_workers_agree(capsys):
     command = ["enumerate", "--n", "4", "--class", "quasi_rack", "--stream"]
     assert main(command + ["--workers", "1"]) == 0
@@ -585,10 +602,22 @@ def test_decompose_has_no_size_cap(tmp_path):
     assert semilattice_sum(plonka_from_json(open(dpath).read())) == table
 
 
-def test_decompose_requires_conditions(tmp_path):
-    # (*) fails for this table, so decompose refuses with exit 1
-    path = write(tmp_path, "q.txt", magma_to_text(((0, 0, 2), (0, 1, 2), (0, 1, 2))))
-    assert main(["decompose", path]) == 1
+def test_decompose_requires_conditions(tmp_path, capsys):
+    # (*) fails for the first table and the second is not a left shelf,
+    # so decompose refuses either with exit 1 and one line
+    for table in (((0, 0, 2), (0, 1, 2), (0, 1, 2)), ((1, 1), (0, 0))):
+        path = write(tmp_path, "q.txt", magma_to_text(table))
+        assert main(["decompose", path]) == 1
+        assert capsys.readouterr().err == "decomposition requires a quasi rack with (*) and (***)\n"
+
+
+def test_decompose_decides_each_condition_once(tmp_path, monkeypatch):
+    # the decomposition decides (*) and (***); the CLI does not decide
+    # them again beforehand (2 and 2 calls when it did)
+    calls = count_calls(monkeypatch, shelves.check_star, shelves.check_starstarstar)
+    path = write(tmp_path, "d3.txt", magma_to_text(dihedral_quandle(3)))
+    assert main(["decompose", path, "-o", str(tmp_path / "dec.json")]) == 0
+    assert calls == {"check_star": 1, "check_starstarstar": 1}
 
 
 def test_twist_apply_and_extract(tmp_path, capsys):

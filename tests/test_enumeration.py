@@ -33,9 +33,10 @@ from yaxl.enumeration import (
     _choices,
     _compat_masks,
     _compatible,
-    _partner_masks,
+    _orbits,
     _place,
     _regular_candidates,
+    _rho_placements,
     _search_labeled,
     _translation_checks,
     _value_index,
@@ -301,20 +302,20 @@ def test_abc_solutions_match_unpruned_oracle(n):
 
 
 def test_cell_filter_drops_only_non_solutions():
-    # every table of maps on 2 points as lambda and as rho; the filter is
-    # necessary for the braid identity, so whatever it drops must fail it
+    # every table of maps on 2 points as lambda and as rho; the placement
+    # is necessary for the braid identity, so whatever it drops must fail it
     maps = list(itertools.product(range(2), repeat=2))
     families = list(itertools.product(maps, repeat=2))
-    partners = _partner_masks(families)
+    placed = {(s.lam, s.rho) for s in _rho_placements(2, "shelf", families)}
     kept = dropped = 0
-    for i, lam in enumerate(families):
-        for j, rho in enumerate(families):
-            if partners[i] >> j & 1 and partners[j] >> i & 1:
+    for lam in families:
+        for rho in families:
+            if (lam, rho) in placed:
                 kept += 1
             else:
                 dropped += 1
                 assert not is_solution(Solution(lam=lam, rho=rho)), (lam, rho)
-    assert kept and dropped
+    assert kept == len(placed) and dropped
 
 
 def _first_component_holds(f, g, comps):
@@ -326,32 +327,50 @@ def _first_component_holds(f, g, comps):
 
 
 @pytest.mark.parametrize("families", ["every family on 2 points", "the Q1 families at n = 3"])
-def test_partner_masks_are_both_braid_components_pointwise(families):
+def test_rho_placement_is_between_the_braid_components(families):
+    # each placed rho passes the first component with lambda, and each rho
+    # of the class that passes the first and the third is placed
     if families.startswith("every"):
-        maps = list(itertools.product(range(2), repeat=2))
-        families = list(itertools.product(maps, repeat=2))
+        n, klass = 2, "shelf"
+        maps = list(itertools.product(range(n), repeat=n))
+        families = list(itertools.product(maps, repeat=n))
     else:
-        families = list(_search_labeled(3, "quasi_rack", shelf=False))
+        n, klass = 3, "quasi_rack"
+        families = list(_search_labeled(n, klass, shelf=False))
         assert len(families) == 627
-    span = range(len(families[0]))
-    comps = [{(a, b): comp(f[a], f[b]) for a in span for b in span} for f in families]
-    first = [[_first_component_holds(f, g, comps[i]) for g in families]
-             for i, f in enumerate(families)]
-    masks = _partner_masks(families)
-    for i, mask in enumerate(masks):
-        expected = sum(1 << j for j in range(len(families)) if first[i][j] and first[j][i])
-        assert mask == expected, families[i]
-        assert all(masks[j] >> i & 1 for j in range(len(families)) if mask >> j & 1)
+    span = range(n)
+    comps = {f: {(a, b): comp(f[a], f[b]) for a in span for b in span} for f in families}
+    placed = {lam: [] for lam in families}
+    for s in _rho_placements(n, klass, families):
+        placed[s.lam].append(s.rho)
+    for lam, rhos in placed.items():
+        # in the lexicographic order of the tables, and among the families
+        assert rhos == sorted(set(rhos)) and set(rhos) <= comps.keys(), lam
+        assert all(_first_component_holds(lam, rho, comps[lam]) for rho in rhos), lam
+        both = {rho for rho in families if _first_component_holds(lam, rho, comps[lam])
+                and _first_component_holds(rho, lam, comps[rho])}
+        assert both <= set(rhos), lam
+
+
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 10), (3, 627)])
+def test_canonical_lambda_orbits_are_the_labeled_families(n, labeled):
+    # Q1 counts its pairs from these orbits and lists its candidates
+    # from the orbits of the pairs it finds
+    canonical = list(_search_labeled(n, "quasi_rack", shelf=False, canonical=True))
+    orbits = _orbits([(lam,) for lam in canonical])
+    assert sum(map(len, orbits)) == labeled
+    families = list(_search_labeled(n, "quasi_rack", shelf=False))
+    assert set().union(*orbits) == {(lam,) for lam in families} and len(families) == labeled
 
 
 def test_question1_decides_each_admissible_pair_once_without_decoding(monkeypatch):
     calls = count_calls(monkeypatch, solutions.is_solution, solutions.from_pair_map)
     report = search_question1(3)
     assert report["pairs_checked"] == 393129 and len(report["candidates"]) == 1008
-    # the full braid check decides each of the 5,880 pairs that pass both
-    # cell restrictions; the relative inverse of a pair map is not decoded
-    # (696 decodes when the search asked quasi_bijective)
-    assert calls == {"is_solution": 5880, "from_pair_map": 0}
+    # the full braid check decides each of the 1,332 rho placed over the
+    # 117 canonical lambda; the relative inverse of a pair map is not
+    # decoded
+    assert calls == {"is_solution": 1332, "from_pair_map": 0}
 
 
 def test_question2_walk_is_pinned(monkeypatch):

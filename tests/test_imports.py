@@ -90,18 +90,19 @@ def test_the_gate_finds_every_placement_caller():
 
 def test_place_has_two_callers():
     # the labeled search (which also yields the lambda families) and
-    # the rho tables of the (A)(B)(C) solutions behind Q2; a third
+    # the rho placement of both open-question searches; a third
     # placement entry point fails here
-    callers = placement_callers([path.read_text() for path in SRC], "_place")
-    assert callers == ["_search_labeled", "abc_solutions"]
+    sources = [path.read_text() for path in SRC]
+    assert placement_callers(sources, "_place") == ["_search_labeled", "_rho_placements"]
+    assert placement_callers(sources, "_rho_placements") == ["search_question1", "abc_solutions"]
 
 
 def test_translation_identities_have_one_routine():
-    # self-distributivity and Q2's third braid component place through
+    # self-distributivity and the third braid component place through
     # one routine, and only it and the idempotent-centrality masks build
     # the translation masks; a second pair loop or mask builder fails here
     sources = [path.read_text() for path in SRC]
-    assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "abc_solutions"]
+    assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "_rho_placements"]
     assert placement_callers(sources, "_masks_of") == ["_compat_masks", "_translation_checks"]
 
 
