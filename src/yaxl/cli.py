@@ -283,74 +283,70 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The arguments of each command, read by both ways ``build_parser`` builds:
+# name -> (help, handler, [(flags, add_argument keywords), ...]), in help order.
+_FLAG = {"action": "store_true"}
+_PATH, _OUTPUT, _HUMAN = ("path", {}), ("-o --output", {}), ("--human", _FLAG)
+_FORMAT = ("--format", {"choices": ["text", "json"], "default": "text"})
+_WORKERS = ("--workers", {"type": int, "default": 1})
+_N = ("--n", {"type": int, "required": True})
+
+COMMANDS = {
+    "check": ("validate and classify a structure file", cmd_check, [
+        ("kind", {"choices": ["shelf", "solution", "clifford", "weak-brace", "twist", "plonka"]}),
+        _PATH, _HUMAN]),
+    "enumerate": ("count or stream isomorphism classes", cmd_enumerate, [
+        _N,
+        ("--class", {"dest": "klass", "choices": enumeration.CLASSES, "required": True}),
+        ("--filter", {"action": "append", "choices": enumeration.FILTERS}),
+        ("--stream", _FLAG),
+        _WORKERS,
+        ("--override", {**_FLAG, "help": "bypass the size guard"}),
+        _HUMAN,
+    ]),
+    "table1": ("reproduce the enumeration table for n = 2, 3, 4", cmd_table1, [_WORKERS, _HUMAN]),
+    "derive": ("derived solution of a quasi rack", cmd_derive, [_PATH, _OUTPUT, _FORMAT]),
+    "construct": ("build a structure from a description file", cmd_construct, [
+        ("what", {"choices": ["plonka-sum", "clifford", "conjugation", "core", "deformed", "brace-solution"]}),
+        _PATH, _OUTPUT, _FORMAT, ("--idempotent", {"type": int})]),
+    "decompose": ("Plonka decomposition of a quasi rack", cmd_decompose, [_PATH, _OUTPUT]),
+    "twist": ("solution of a g-twist (or extract one with --extract)", cmd_twist, [
+        _PATH, _OUTPUT, _FORMAT, ("--extract", _FLAG)]),
+    "search": ("counterexample search for the open questions", cmd_search, [
+        ("--question", {"type": int, "choices": [1, 2], "required": True}),
+        _N,
+        ("--seed", {"type": int}),
+        ("--samples", {"type": int, "default": 10000}),
+        _OUTPUT,
+    ]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    The usage line lists every command either way, so an argv that
+    starts with ``command`` gets the same help, usage and errors from
+    both parsers."""
     parser = argparse.ArgumentParser(prog="yaxl")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate and classify a structure file")
-    p.add_argument("kind", choices=["shelf", "solution", "clifford", "weak-brace", "twist", "plonka"])
-    p.add_argument("path")
-    p.add_argument("--human", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("enumerate", help="count or stream isomorphism classes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="klass", choices=enumeration.CLASSES, required=True)
-    p.add_argument("--filter", action="append", choices=enumeration.FILTERS)
-    p.add_argument("--stream", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--override", action="store_true", help="bypass the size guard")
-    p.add_argument("--human", action="store_true")
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("table1", help="reproduce the enumeration table for n = 2, 3, 4")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--human", action="store_true")
-    p.set_defaults(fn=cmd_table1)
-
-    p = sub.add_parser("derive", help="derived solution of a quasi rack")
-    p.add_argument("path")
-    p.add_argument("-o", "--output")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_derive)
-
-    p = sub.add_parser("construct", help="build a structure from a description file")
-    p.add_argument(
-        "what",
-        choices=["plonka-sum", "clifford", "conjugation", "core", "deformed", "brace-solution"],
-    )
-    p.add_argument("path")
-    p.add_argument("-o", "--output")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--idempotent", type=int, default=None)
-    p.set_defaults(fn=cmd_construct)
-
-    p = sub.add_parser("decompose", help="Plonka decomposition of a quasi rack")
-    p.add_argument("path")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("twist", help="solution of a g-twist (or extract one with --extract)")
-    p.add_argument("path")
-    p.add_argument("-o", "--output")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--extract", action="store_true")
-    p.set_defaults(fn=cmd_twist)
-
-    p = sub.add_parser("search", help="counterexample search for the open questions")
-    p.add_argument("--question", type=int, choices=[1, 2], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_search)
-
+    # None lets argparse list the commands it has; here it has one
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_, fn, specs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, keywords in specs:
+            p.add_argument(*flags.split(), **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command needs only its own parser; anything else (no
+    # command, -h, --version, a misspelt name) gets every command's
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -31,10 +31,14 @@ def make_twist_family(table: Magma, phi) -> TwistFamily:
     """Validate and cache: each phi_a must be an endomorphism of the base
     shelf and completely regular."""
     table = validate_table(table)
+    n = len(table)
     # n maps on n points: the same shape as a table
-    phi = validate_table(phi)
-    if len(phi) != len(table):
-        raise ValueError("need one map per carrier element")
+    try:
+        phi = validate_table(phi)
+    except ValueError:
+        phi = None
+    if phi is None or len(phi) != n:
+        raise ValueError(f"phi must be {n} maps of the shelf's {n} points to themselves")
     if not is_left_shelf(table):
         raise ValueError("base table is not a left shelf")
     return _cache_family(table, phi)

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 
@@ -8,11 +9,12 @@ from fixtures import (
     INVERSE_NOT_A_SOLUTION,
     count_calls,
     dihedral_quandle,
+    run_python,
     trivial_quandle,
     two_chain_clifford,
 )
 from yaxl import constructions, shelves, solutions
-from yaxl.cli import _check_shelf, main
+from yaxl.cli import _check_shelf, build_parser, main
 from yaxl.constructions import SemilatticeSystem, cyclic_group, semilattice_sum, trivial_brace
 from yaxl.enumeration import quasi_rack_profile
 from yaxl.fnmap import identity
@@ -687,3 +689,109 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
+
+
+@pytest.mark.parametrize("phi", ["[[0, 1]]", "[[0, 1], [0]]", "[[0, 5], [0, 1]]", "[[0]]",
+                                 "[[0, 1], [0, 1], [0, 1]]", "3"])
+@pytest.mark.parametrize("command", [["check", "twist"], ["twist"]])
+def test_a_phi_that_is_not_n_maps_is_named(tmp_path, capsys, command, phi):
+    # the message names phi, not the base shelf
+    path = write(tmp_path, "t.json", '{"shelf": [[0, 1], [0, 1]], "phi": %s}' % phi)
+    assert main(command + [path]) == 2
+    assert capsys.readouterr().err == "error: phi must be 2 maps of the shelf's 2 points to themselves\n"
+
+
+# per command: an argv giving every argument, and one giving only the required ones
+_ARGV = {
+    "check": (["check", "shelf", "q.txt", "--human"], ["check", "solution", "s.txt"]),
+    "enumerate": (["enumerate", "--n", "3", "--class", "quasi_rack", "--filter", "star", "--filter",
+                   "starstar", "--stream", "--workers", "2", "--override", "--human"],
+                  ["enumerate", "--n", "3", "--class", "shelf"]),
+    "table1": (["table1", "--workers", "2", "--human"], ["table1"]),
+    "derive": (["derive", "q.txt", "-o", "s.json", "--format", "json"], ["derive", "q.txt"]),
+    "construct": (["construct", "deformed", "c.txt", "-o", "q.txt", "--format", "json", "--idempotent", "1"],
+                  ["construct", "core", "c.txt"]),
+    "decompose": (["decompose", "q.txt", "-o", "p.json"], ["decompose", "q.txt"]),
+    "twist": (["twist", "s.txt", "--output", "t.json", "--format", "text", "--extract"], ["twist", "t.json"]),
+    "search": (["search", "--question", "2", "--n", "4", "--seed", "5", "--samples", "20", "-o", "r.json"],
+               ["search", "--question", "1", "--n", "2"]),
+}
+
+
+def _subparsers(parser):
+    """{name: parser} of the commands ``parser`` was built with."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", list(_ARGV))
+def test_one_command_parser_matches_the_full_parser(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = build_parser(), build_parser(name)
+    assert list(_subparsers(full)) == list(_ARGV) and list(_subparsers(one)) == [name]
+    # the top-level usage heads the errors argparse reports after the command
+    assert one.format_usage() == full.format_usage()
+    assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+    assert _subparsers(one)[name].format_usage() == _subparsers(full)[name].format_usage()
+    for argv in _ARGV[name]:
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+
+
+_USAGE = (
+    "usage: yaxl [-h] [--version]\n"
+    "            {check,enumerate,table1,derive,construct,decompose,twist,search}\n"
+    "            ...\n"
+)
+_SEARCH_USAGE = (
+    "usage: yaxl search [-h] --question {1,2} --n N [--seed SEED]\n"
+    "                   [--samples SAMPLES] [-o OUTPUT]\n"
+)
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], _USAGE + "yaxl: error: the following arguments are required: command\n"),
+    (["bogus"], _USAGE + "yaxl: error: argument command: invalid choice: 'bogus' (choose from 'check', "
+                         "'enumerate', 'table1', 'derive', 'construct', 'decompose', 'twist', 'search')\n"),
+    (["table1", "extra"], _USAGE + "yaxl: error: unrecognized arguments: extra\n"),
+    (["search", "--question", "3", "--n", "2"],
+     _SEARCH_USAGE + "yaxl search: error: argument --question: invalid choice: 3 (choose from 1, 2)\n"),
+    (["enumerate", "--n", "3"],
+     "usage: yaxl enumerate [-h] --n N --class\n"
+     "                      {shelf,rack,quandle,quasi_rack,quasi_quandle}\n"
+     "                      [--filter {star,starstar,starstarstar,derived_is_solution}]\n"
+     "                      [--stream] [--workers WORKERS] [--override] [--human]\n"
+     "yaxl enumerate: error: the following arguments are required: --class\n"),
+    (["search", "--question", "1", "--n", "x"],
+     _SEARCH_USAGE + "yaxl search: error: argument --n: invalid int value: 'x'\n"),
+], ids=["no-command", "unknown-command", "extra-argument", "question-3", "no-class", "n-not-an-int"])
+def test_usage_errors_exit_2(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_only_the_invoked_command_parser_is_built(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["table1"]) == 0
+    assert added == ["table1"]
+    added.clear()
+    with pytest.raises(SystemExit) as e:
+        main(["-h"])
+    assert e.value.code == 0 and added == list(_ARGV)
+
+
+def test_main_reads_sys_argv(capsys):
+    argv = ["search", "--question", "1", "--n", "2"]
+    done = run_python("-m", "yaxl.cli", *argv)
+    assert done.returncode == 0 and done.stderr == ""
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out

@@ -1,8 +1,9 @@
 """Every name a ``yaxl`` module imports at top level is used in it,
 every private top-level function or class is read by some module, the
 row-placement engine and the translation-identity checks have only
-their two callers, the sampled searches draw through one helper, and
-every theorem guarantee fails through ``fnmap.guarantee``."""
+their two callers, the sampled searches draw through one helper, the
+command-line parsers are built in one place, and every theorem guarantee
+fails through ``fnmap.guarantee``."""
 
 import ast
 from pathlib import Path
@@ -104,6 +105,14 @@ def test_translation_identities_have_one_routine():
     sources = [path.read_text() for path in SRC]
     assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "_rho_placements"]
     assert placement_callers(sources, "_masks_of") == ["_compat_masks", "_translation_checks"]
+
+
+def test_one_builder_adds_every_parser_and_argument():
+    # the full parser and each one-command parser read one argument
+    # table; a second copy of a command's arguments fails here
+    sources = [path.read_text() for path in SRC]
+    assert placement_callers(sources, "add_parser") == ["build_parser"]
+    assert placement_callers(sources, "add_argument") == ["build_parser", "build_parser"]
 
 
 # the methods of random.Random that draw an index or a sample of their own
