@@ -274,7 +274,7 @@ def cmd_search(args) -> int:
     fn = enumeration.search_question1 if args.question == 1 else enumeration.search_question2
     report = fn(args.n, seed=args.seed, samples=args.samples)
     if args.output:
-        _emit(args, json.dumps(report), _provenance(b"", seed=args.seed), text=False)
+        _emit(args, json.dumps(report), _provenance(b"", seed=report["seed"]), text=False)
     else:
         _print_report(args, report)
     return 0

@@ -216,15 +216,18 @@ def _gluing_composes(meet: Magma, homs: dict) -> bool:
 
 
 def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
-    """Raise ValueError unless every fiber satisfies ``fiber_ok``
-    (``is_group`` for a Clifford semigroup, ``is_rack`` for a Plonka sum)
-    and the gluing maps are well-shaped homomorphisms that compose."""
+    """Raise ValueError unless every fiber is non-empty and passes
+    ``fiber_ok`` (``is_group`` for a Clifford semigroup, ``is_rack`` for
+    a Plonka sum) and the gluing maps are homomorphisms that compose."""
     if not is_semilattice(sys.meet):
         raise ValueError("meet table is not a semilattice")
     if len(sys.fibers) != sys.points:
         raise ValueError("need one fiber per semilattice point")
     for k, f in enumerate(sys.fibers):
-        if not fiber_ok(validate_table(f)):
+        f = validate_table(f)
+        if not f:  # is_rack holds vacuously on no points
+            raise ValueError(f"fiber {k} is empty")
+        if not fiber_ok(f):
             raise ValueError(f"fiber {k} fails {fiber_ok.__name__}")
     span = range(sys.points)
     pairs = [(a, b) for a in span for b in span if semilattice_geq(sys.meet, a, b)]

@@ -505,7 +505,7 @@ def _report(question: str, n: int, exhaustive: bool, seed, counted: str, checked
         "status": _STATUS,
         "n": n,
         "exhaustive": exhaustive,
-        "seed": seed,
+        "seed": None if exhaustive else seed,  # an exhaustive search draws nothing
         counted: checked,
         "candidates": [(s.lam, s.rho) for s in candidates],
         "note": note,
@@ -573,6 +573,21 @@ def _orbits(items) -> list:
     return orbits
 
 
+def _labeled_pairs(n: int, klass: str, keep) -> tuple:
+    """The number of labeled lambda families on n points (completely
+    regular maps whose idempotents commute with every member), and the
+    sorted pairs (lambda, rho) with rho placed by ``_rho_placements``
+    that ``keep`` accepts.  lambda runs over one family per simultaneous
+    relabeling (``_search_labeled`` with ``canonical``) and the kept
+    pairs are expanded by ``_orbits``: every hypothesis encoded is
+    unchanged under a simultaneous relabeling, and ``keep`` decides the
+    braid identity, which the placement leaves open for some pairs."""
+    lams = list(_search_labeled(n, "quasi_rack", shelf=False, canonical=True))
+    kept = [(s.lam, s.rho) for s in _rho_placements(n, klass, lams) if keep(s)]
+    orbits = _orbits([(lam,) for lam in lams] + kept)
+    return sum(map(len, orbits[:len(lams)])), sorted(set().union(*orbits[len(lams):]))
+
+
 def _choices(rng, sizes, rounds):
     """Yield, for each of ``rounds`` rounds, the list of indices that
     successive ``rng.choice`` calls on sequences of the given sizes would
@@ -603,6 +618,20 @@ def _compatible(compat, idx) -> bool:
     return True
 
 
+def _sampled(n: int, seed, samples: int, joint: bool):
+    """Yield the ``Solution`` of each of ``samples`` seeded ``_choices``
+    rounds that passes ``_compatible``: lambda among the completely
+    regular maps, rho among them and tested with lambda (``joint``), or
+    among all maps and untested (quasi left non-degeneracy only)."""
+    base = _regular_candidates(n)
+    lams = [f for f, _ in base]
+    rhos = lams if joint else list(itertools.product(range(n), repeat=n))
+    compat = _compat_masks(base, _value_index(lams))
+    for idx in _choices(random.Random(seed), [len(lams)] * n + [len(rhos)] * n, samples):
+        if _compatible(compat, idx if joint else idx[:n]):
+            yield Solution(lam=tuple(lams[i] for i in idx[:n]), rho=tuple(rhos[i] for i in idx[n:]))
+
+
 def _exhaustive(n: int, seed, samples: int) -> bool:
     """Whether a search at size n is exhaustive (n <= 3) rather than
     sampled; refuses sizes outside 1..SIZE_GUARD, and a sampled search
@@ -627,45 +656,28 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
     satisfies the braid identity; a candidate is such an r whose pair
     map has no relative inverse.
 
-    Exhaustive for n <= 3 over every pair of such families: lambda over
-    one family per simultaneous relabeling (``_search_labeled`` with
-    ``canonical``), rho by ``_rho_placements`` (1,332 over 117 lambda at
-    n = 3), each pair decided by the full braid check.  Relabeling both
-    families at once keeps the hypotheses, so the candidates are the
-    orbits (``_orbits``) of those found, sorted as a walk over every
-    labeled lambda lists them, and ``pairs_checked`` is the square of
-    the labeled lambda count, the orbit sizes' sum (393,129 at n = 3).
+    Exhaustive for n <= 3 over every pair of such families
+    (``_labeled_pairs``; the braid check decides 1,332 placed pairs at
+    n = 3), and ``pairs_checked`` is the labeled lambda count squared.
     Seeded random sampling at n >= 4 draws each member independently
-    (``_choices``) and keeps a pair only when every idempotent commutes
-    with every member of the lambda and rho families together
-    (``_compatible``), a stricter hypothesis: at n = 2 it holds for 46
-    of the 100 exhaustive pairs, at n = 3 for 68,349 of 393,129.  The
-    report never asserts an answer: an empty candidate list means only
-    that no counterexample was found among the structures checked.
+    (``_sampled``) and keeps a pair only when every idempotent commutes
+    with every member of the lambda and rho families together, a
+    stricter hypothesis: at n = 2 it holds for 46 of the 100 exhaustive
+    pairs, at n = 3 for 68,349 of 393,129.  The report never asserts an
+    answer: an empty candidate list means only that no counterexample
+    was found among the structures checked.
     """
     exhaustive = _exhaustive(n, seed, samples)
-    candidates = []
-    checked = 0
+
+    def candidate(s) -> bool:  # quasi non-degenerate by construction of the families
+        return is_solution(s) and relative_inverse(pair_map(s)) is None
+
     if exhaustive:
-        lams = list(_search_labeled(n, "quasi_rack", shelf=False, canonical=True))
-        # quasi non-degenerate by construction of the families
-        found = [(s.lam, s.rho) for s in _rho_placements(n, "quasi_rack", lams)
-                 if is_solution(s) and relative_inverse(pair_map(s)) is None]
-        orbits = _orbits([(lam,) for lam in lams] + found)
-        checked = sum(map(len, orbits[:len(lams)])) ** 2
-        candidates = [Solution(lam=lam, rho=rho) for lam, rho in sorted(set().union(*orbits[len(lams):]))]
+        labeled, pairs = _labeled_pairs(n, "quasi_rack", candidate)
+        checked, candidates = labeled ** 2, [Solution(lam=lam, rho=rho) for lam, rho in pairs]
     else:
-        cands = _regular_candidates(n)
-        compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
-        # lambda_0..lambda_{n-1}, then rho_0..rho_{n-1}
-        for idx in _choices(random.Random(seed), [len(cands)] * (2 * n), samples):
-            if not _compatible(compat, idx):
-                continue
-            checked += 1
-            maps = [cands[i][0] for i in idx]
-            s = Solution(lam=tuple(maps[:n]), rho=tuple(maps[n:]))
-            if is_solution(s) and relative_inverse(pair_map(s)) is None:
-                candidates.append(s)
+        drawn = list(_sampled(n, seed, samples, joint=True))
+        checked, candidates = len(drawn), list(filter(candidate, drawn))
     return _report(
         "is every quasi non-degenerate solution quasi bijective?",
         n, exhaustive, seed, "pairs_checked", checked, candidates,
@@ -675,17 +687,14 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
 def abc_solutions(n: int):
     """Yield (s, d) with d = ``abc_family(s)`` for every quasi left
     non-degenerate solution s on n points with (A), (B) and (C), in the
-    lexicographic order of (lambda, rho).
-
-    lambda ranges over the families of completely regular maps whose
-    idempotents commute with every member (``_search_labeled`` with
-    ``shelf=False``), and rho over the tables of every map that
-    ``_rho_placements`` places; ``abc_family`` decides each of them.
+    lexicographic order of (lambda, rho): the pairs of ``_labeled_pairs``
+    with rho among all maps, each decided again by ``abc_family``.
     """
-    for s in _rho_placements(n, "shelf", _search_labeled(n, "quasi_rack", shelf=False)):
+    for lam, rho in _labeled_pairs(n, "shelf", lambda s: abc_family(s) is not None)[1]:
+        s = Solution(lam=lam, rho=rho)
         d = abc_family(s)
-        if d is not None:
-            yield s, d
+        guarantee(d is not None, f"a relabeled (A)(B)(C) solution fails abc_family: {s}")
+        yield s, d
 
 
 def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
@@ -701,30 +710,17 @@ def search_question2(n: int, seed=None, samples: int = 10000) -> dict:
 
     Exhaustive for n <= 3 over every solution of ``abc_solutions``.
     Seeded sampling at n >= 4 draws each lambda_x among the completely
-    regular maps and each rho_y among all maps (``_choices``).  A sampled
+    regular maps and each rho_y among all maps (``_sampled``).  A sampled
     lambda that is not quasi left non-degenerate, about 999 in 1,000 at
-    n = 4, is rejected by the compatibility masks of ``_compat_masks``
-    (``_compatible``) before the braid check, as ``abc_family`` would
-    reject it.  The report never asserts an answer.
+    n = 4, is rejected by the compatibility masks before the braid
+    check, as ``abc_family`` would reject it.  The report never asserts
+    an answer.
     """
     exhaustive = _exhaustive(n, seed, samples)
-    candidates = []
-    checked = 0
-
-    def sampled():
-        maps = list(itertools.product(range(n), repeat=n))
-        cr = _regular_candidates(n)
-        compat = _compat_masks(cr, _value_index([f for f, _ in cr]))
-        # lambda_0..lambda_{n-1} among cr, then rho_0..rho_{n-1} among all maps
-        for idx in _choices(random.Random(seed), [len(cr)] * n + [len(maps)] * n, samples):
-            if _compatible(compat, idx[:n]):  # else lambda is not quasi left non-degenerate
-                s = Solution(lam=tuple(cr[i][0] for i in idx[:n]), rho=tuple(maps[i] for i in idx[n:]))
-                d = abc_family(s)
-                if d is not None:
-                    yield s, d
-
-    for s, d in abc_solutions(n) if exhaustive else sampled():
-        if relative_inverse(pair_map(s)) is not None:
+    checked, candidates = 0, []
+    drawn = ((s, abc_family(s)) for s in _sampled(n, seed, samples, joint=False))
+    for s, d in abc_solutions(n) if exhaustive else drawn:
+        if d is not None and relative_inverse(pair_map(s)) is not None:
             checked += 1
             if quasi_rack_structure(structure_magma(s, d)) is None:
                 candidates.append(s)

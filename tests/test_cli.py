@@ -413,6 +413,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, content):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command, key", [(["check", "plonka"], "fibers"),
+                                          (["construct", "plonka-sum"], "fibers"),
+                                          (["construct", "clifford"], "groups")],
+                         ids=["check-plonka", "construct-plonka-sum", "construct-clifford"])
+def test_an_empty_fiber_is_named(tmp_path, capsys, command, key):
+    # the two-point chain over a one-point fiber and an empty one: a
+    # Plonka sum of it would be the one-point table
+    content = ('{"semilattice": {"m": 2, "meet": [[0, 0], [0, 1]]}, "%s": [[[0]], []], '
+               '"homs": [{"from": 0, "to": 0, "map": [0]}, {"from": 1, "to": 1, "map": []}, '
+               '{"from": 1, "to": 0, "map": []}]}' % key)
+    assert main(command + [write(tmp_path, "p.json", content)]) == 2
+    assert capsys.readouterr() == ("", "error: fiber 1 is empty\n")
+
+
 def test_missing_gluing_map_is_named(tmp_path, capsys):
     content = '{"semilattice": {"m": 1, "meet": [[0]]}, "fibers": [[[0]]], "homs": []}'
     assert main(["check", "plonka", write(tmp_path, "p.json", content)]) == 2
@@ -665,6 +679,22 @@ def test_search_artifact(tmp_path, capsys):
     assert data.pop("_provenance")["seed"] == 5
     assert data == json.loads(printed)
     assert printed == json.dumps(data) + "\n"
+
+
+@pytest.mark.parametrize("question", ["1", "2"])
+@pytest.mark.parametrize("artifact", [False, True], ids=["printed", "artifact"])
+def test_an_exhaustive_search_records_no_seed(tmp_path, capsys, question, artifact):
+    # a search at n <= 3 draws nothing: --seed changes no byte of the
+    # report or of the artifact, and neither records a seed
+    out = tmp_path / "r.json"
+    argv = ["search", "--question", question, "--n", "2"] + (["-o", str(out)] if artifact else [])
+    outputs = []
+    for seed in ([], ["--seed", "5"]):
+        assert main(argv + seed) == 0
+        outputs.append(capsys.readouterr().out + (out.read_text() if artifact else ""))
+    assert outputs[0] == outputs[1]
+    data = json.loads(outputs[1])
+    assert data["seed"] is None and "seed" not in data.get("_provenance", {})
 
 
 def test_search_commands(tmp_path, capsys):

@@ -301,6 +301,36 @@ def test_abc_solutions_match_unpruned_oracle(n):
     assert found == list(naive_abc_solutions(n))
 
 
+def _labeled_abc_walk(n):
+    # the walk abc_solutions replaced: every labeled lambda family, rho
+    # placed for each, every pair decided by abc_family
+    lams = _search_labeled(n, "quasi_rack", shelf=False)
+    for s in _rho_placements(n, "shelf", lams):
+        d = solutions.abc_family(s)
+        if d is not None:
+            yield s, d
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 18), (3, 552)])
+def test_abc_solutions_are_the_labeled_walk(n, count):
+    # the orbits of the canonical-lambda solutions, in the same order,
+    # each with the family that abc_family decides for it
+    found = list(abc_solutions(n))
+    assert found == list(_labeled_abc_walk(n)) and len(found) == count
+
+
+def test_question2_is_the_report_of_the_labeled_walk():
+    checked, candidates = 0, []
+    for s, d in _labeled_abc_walk(3):
+        if fnmap.relative_inverse(solutions.pair_map(s)) is not None:
+            checked += 1
+            if quasi_rack_structure(solutions.structure_magma(s, d)) is None:
+                candidates.append((s.lam, s.rho))
+    report = search_question2(3)
+    assert report["solutions_meeting_hypotheses"] == checked == 264
+    assert report["candidates"] == candidates and len(candidates) == 78
+
+
 def test_cell_filter_drops_only_non_solutions():
     # every table of maps on 2 points as lambda and as rho; the placement
     # is necessary for the braid identity, so whatever it drops must fail it
@@ -374,12 +404,14 @@ def test_question1_decides_each_admissible_pair_once_without_decoding(monkeypatc
 
 
 def test_question2_walk_is_pinned(monkeypatch):
-    # the rho tables that reach the full braid check at n = 3: the third
-    # component's pairs in which the new row occurs twice are left to it,
-    # so a change in the placement's pruning changes this number
+    # the rho tables that reach the full braid check at n = 3: the 2,492
+    # placed over the 117 canonical lambda (the third component's pairs
+    # in which the new row occurs twice are left to it, so a change in
+    # the placement's pruning changes this number), then the 552 labeled
+    # solutions of their orbits, each decided again
     calls = count_calls(monkeypatch, solutions.abc_family)
     report = search_question2(3)
-    assert calls == {"abc_family": 13179}
+    assert calls == {"abc_family": 2492 + 552}
     assert report["solutions_meeting_hypotheses"] == 264 and len(report["candidates"]) == 78
 
 

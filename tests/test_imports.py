@@ -91,11 +91,14 @@ def test_the_gate_finds_every_placement_caller():
 
 def test_place_has_two_callers():
     # the labeled search (which also yields the lambda families) and
-    # the rho placement of both open-question searches; a third
-    # placement entry point fails here
+    # the rho placement, which only the exhaustive stream of both
+    # open-question searches runs and expands by orbits; a third
+    # placement entry point or a second lambda walk fails here
     sources = [path.read_text() for path in SRC]
     assert placement_callers(sources, "_place") == ["_search_labeled", "_rho_placements"]
-    assert placement_callers(sources, "_rho_placements") == ["search_question1", "abc_solutions"]
+    assert placement_callers(sources, "_rho_placements") == ["_labeled_pairs"]
+    assert placement_callers(sources, "_orbits") == ["_labeled_pairs"]
+    assert placement_callers(sources, "_labeled_pairs") == ["search_question1", "abc_solutions"]
 
 
 def test_translation_identities_have_one_routine():
@@ -137,12 +140,13 @@ def test_the_gate_flags_every_own_draw():
 
 
 def test_sampled_searches_draw_through_one_helper():
-    # every sampled search reads its stream off _choices, which inlines
-    # Random.choice's getrandbits loop; a second stream implementation
-    # fails here
+    # every sampled search reads its stream off _sampled, whose one draw
+    # loop is _choices, which inlines Random.choice's getrandbits loop;
+    # a second stream implementation fails here
     sources = [path.read_text() for path in SRC]
     assert own_draws(sources) == []
-    assert placement_callers(sources, "_choices") == ["search_question1", "search_question2"]
+    assert placement_callers(sources, "_choices") == ["_sampled"]
+    assert placement_callers(sources, "_sampled") == ["search_question1", "search_question2"]
 
 
 # the only definitions that may name AssertionError: the one that raises

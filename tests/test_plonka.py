@@ -60,6 +60,18 @@ def test_validate_plonka_errors():
         validate_system(two_chain(d3, d3, (0, 0, 1)), is_rack)
 
 
+def test_an_empty_fiber_is_refused():
+    # is_rack holds vacuously on no points: the sum of this system would
+    # be the one-point table, whose decomposition is a one-point system
+    assert is_rack(())
+    for p, k in ((two_chain(trivial_quandle(1), (), ()), 1), (two_chain((), trivial_quandle(1), ()), 0)):
+        with pytest.raises(ValueError, match=f"^fiber {k} is empty$"):
+            validate_system(p, is_rack)
+        for build in (plonka_sum, checked_sum, sum_structure_check, solution_as_strong_semilattice):
+            with pytest.raises(ValueError, match=f"^fiber {k} is empty$"):
+                build(p)
+
+
 def test_sum_over_point_is_fiber():
     d3 = dihedral_quandle(3)
     p = PlonkaSystem(((0,),), (d3,), {(0, 0): (0, 1, 2)})
