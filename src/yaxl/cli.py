@@ -86,10 +86,10 @@ def _check_shelf(table) -> dict:
     if q is None:
         return report
     report["quasi_quandle"] = report["quandle"] if rack else shelves.is_quasi_quandle(q)
-    d = shelves.derived_map(q)
-    report.update(enumeration.quasi_rack_profile(q, d))
+    report.update(enumeration.quasi_rack_profile(q))
     if report["derived_is_solution"]:
-        report["derived_quasi_bijective"] = fnmap.relative_inverse(solutions.pair_map(d)) is not None
+        r = solutions.pair_map(shelves.derived_map(q))
+        report["derived_quasi_bijective"] = fnmap.relative_inverse(r) is not None
     return report
 
 

@@ -85,6 +85,9 @@ def klein_group() -> Magma:
 
 
 def groups_of_order(n: int):
+    """Every group of order n up to isomorphism; listed for 1 <= n <= 5."""
+    if not 1 <= n <= 5:
+        raise ValueError(f"groups of order {n} are not listed; orders 1 to 5 are")
     if n == 4:
         return [cyclic_group(4), klein_group()]
     return [cyclic_group(n)]
@@ -313,12 +316,14 @@ def group_fibers(max_size: int = 5):
 # shelves and quasi quandles from Clifford semigroups
 
 
+def _conjugation(mul: Magma, inv: tuple) -> Magma:
+    """x |> y := x^- y x in an inverse semigroup with inverses ``inv``."""
+    return tuple(tuple(mul[v][x] for v in mul[inv[x]]) for x in range(len(mul)))
+
+
 def conjugation_quasi_quandle(c: CliffordTable) -> Magma:
     """x |> y := x^- y x; a quasi quandle for every Clifford semigroup."""
-    mul, inv = c.mul, c.inv
-    table = tuple(
-        tuple(mul[mul[inv[x]][y]][x] for y in range(c.n)) for x in range(c.n)
-    )
+    table = _conjugation(c.mul, c.inv)
     q = quasi_rack_structure(table)
     guarantee(q is not None and is_quasi_quandle(q), "a conjugation x^- y x is not a quasi quandle")
     return table
@@ -340,22 +345,20 @@ def deformed_quasi_rack(c: CliffordTable, e: int) -> Magma:
     translation inverses are the translations of the inverses."""
     if e not in c.idems:
         raise ValueError(f"{e} is not an idempotent")
-    mul, inv = c.mul, c.inv
-    table = tuple(
-        tuple(mul[mul[mul[inv[x]][y]][x]][e] for y in range(c.n)) for x in range(c.n)
-    )
+    mul = c.mul
+    table = tuple(tuple(mul[v][e] for v in row) for row in _conjugation(mul, c.inv))
     q = quasi_rack_structure(table)
     guarantee(q is not None, "a deformed conjugation x^- y x e is not a quasi rack")
-    guarantee(all(q.L_inv[x] == table[inv[x]] for x in range(c.n)), "a deformed L_x^- is not L_{x^-}")
+    guarantee(all(q.L_inv[x] == table[c.inv[x]] for x in range(c.n)), "a deformed L_x^- is not L_{x^-}")
     return table
 
 
 def constant_shelf(n: int, f: FnMap) -> Magma:
     """x |> y := f(y) with f idempotent; always a quasi rack."""
+    if len(f) != n or any(type(v) is not int or not 0 <= v < n for v in f):
+        raise ValueError(f"map {f} is not a map on {n} points")
     if compose(f, f) != f:
         raise ValueError("map must be idempotent")
-    if len(f) != n:
-        raise ValueError("size mismatch")
     table = tuple(tuple(f) for _ in range(n))
     guarantee(quasi_rack_structure(table) is not None, "a constant shelf is not a quasi rack")
     return table
@@ -421,16 +424,9 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
                                 raise ValueError(
                                     f"condition 3 fails at i={i} j={j} k={k} s={s} t={t} u={u}"
                                 )
-    size = n * s_size
-    table = [[0] * size for _ in range(size)]
-    for i in rng_x:
-        for s in rng_s:
-            row = table[i * s_size + s]
-            for j in rng_x:
-                a = alpha[i][j][s]
-                for t in rng_s:
-                    row[j * s_size + t] = rack[i][j] * s_size + a[t]
-    table = tuple(tuple(row) for row in table)
+    table = tuple(
+        tuple(rack[i][j] * s_size + v for j in rng_x for v in alpha[i][j][s]) for i in rng_x for s in rng_s
+    )
     q = quasi_rack_structure(table)
     guarantee(q is not None, "a cocycle extension of a rack is not a quasi rack")
     zeros_ok = all(q.L_zero[i * s_size + s][j * s_size + t] == j * s_size + zeros[(i, j, s)][t]
@@ -512,33 +508,29 @@ def trivial_brace(c: CliffordTable) -> WeakBrace:
 
 def opposite_trivial_brace(c: CliffordTable) -> WeakBrace:
     """x + y := y o x."""
-    add = tuple(tuple(c.mul[y][x] for y in range(c.n)) for x in range(c.n))
-    return make_weak_brace(add, c.mul)
+    return make_weak_brace(tuple(zip(*c.mul)), c.mul)
 
 
 def opposite_brace(b: WeakBrace) -> WeakBrace:
-    add = tuple(tuple(b.add[y][x] for y in range(b.n)) for x in range(b.n))
-    return WeakBrace(add, b.mul, b.add_inv, b.mul_inv)
+    return WeakBrace(tuple(zip(*b.add)), b.mul, b.add_inv, b.mul_inv)
 
 
 def brace_lambda(b: WeakBrace) -> tuple:
     """lambda_x(y) = -x + x o y."""
-    return tuple(
-        tuple(b.add[b.add_inv[x]][b.mul[x][y]] for y in range(b.n)) for x in range(b.n)
-    )
+    return tuple(tuple(b.add[b.add_inv[x]][v] for v in b.mul[x]) for x in range(b.n))
 
 
 def brace_rho(b: WeakBrace) -> tuple:
-    """rho_y(x) = (lambda_x(y))^- o x o y, rows indexed by the actor y."""
-    lam = brace_lambda(b)
-    return tuple(
-        tuple(b.mul[b.mul[b.mul_inv[lam[x][y]]][x]][y] for x in range(b.n))
-        for y in range(b.n)
-    )
+    """The rho family of ``brace_solution``."""
+    return brace_solution(b).rho
 
 
 def brace_solution(b: WeakBrace) -> Solution:
-    return Solution(lam=brace_lambda(b), rho=brace_rho(b))
+    """lambda of ``brace_lambda`` and rho_y(x) = (lambda_x(y))^- o x o y,
+    rows of rho indexed by the actor y."""
+    lam, mul, mul_inv = brace_lambda(b), b.mul, b.mul_inv
+    rho = tuple(tuple(mul[mul[mul_inv[lam[x][y]]][x]][y] for x in range(b.n)) for y in range(b.n))
+    return Solution(lam=lam, rho=rho)
 
 
 def lambda_rho_clifford_check(b: WeakBrace) -> bool:
@@ -549,7 +541,8 @@ def lambda_rho_clifford_check(b: WeakBrace) -> bool:
     In a closed family each member's idempotent f^0 is a power of f, hence
     a member, so the idempotent members are exactly the f^0 that
     ``regular_family`` tests against the family."""
-    for family in (set(brace_lambda(b)), set(brace_rho(b))):
+    s = brace_solution(b)
+    for family in (set(s.lam), set(s.rho)):
         if not {compose(f, g) for f in family for g in family} <= family:
             return False
         if regular_family(family) is None:
@@ -564,10 +557,7 @@ def brace_structure_shelf_check(b: WeakBrace) -> bool:
     d = quasi_left_nondeg(s)
     if d is None:
         return False
-    expected = tuple(
-        tuple(b.add[b.add[b.add_inv[x]][y]][x] for y in range(b.n)) for x in range(b.n)
-    )
-    return structure_magma(s, d) == expected
+    return structure_magma(s, d) == _conjugation(b.add, b.add_inv)
 
 
 def all_skew_braces(n: int) -> list:
@@ -580,17 +570,12 @@ def all_skew_braces(n: int) -> list:
 def dual_weak_brace_fixtures(max_size: int = 5, max_skew_order: int = 4) -> Iterator[WeakBrace]:
     """Trivial and opposite-trivial braces over every generated Clifford
     semigroup, plus all skew braces of small order."""
+    cliffords = (clifford_from_system(sys) for sys in all_systems(group_fibers(max_size)))
+    trivial = (b for c in cliffords for b in (trivial_brace(c), opposite_trivial_brace(c)))
+    skew = (b for n in range(1, max_skew_order + 1) for b in all_skew_braces(n))
     seen = set()
-    for sys in all_systems(group_fibers(max_size)):
-        c = clifford_from_system(sys)
-        for b in (trivial_brace(c), opposite_trivial_brace(c)):
-            key = (b.add, b.mul)
-            if key not in seen:
-                seen.add(key)
-                yield b
-    for n in range(1, max_skew_order + 1):
-        for b in all_skew_braces(n):
-            key = (b.add, b.mul)
-            if key not in seen:
-                seen.add(key)
-                yield b
+    for b in itertools.chain(trivial, skew):
+        key = (b.add, b.mul)
+        if key not in seen:
+            seen.add(key)
+            yield b

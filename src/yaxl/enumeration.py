@@ -355,15 +355,15 @@ def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False
     yield from _place(maps, row_masks, compat, *checks)
 
 
-def quasi_rack_profile(q: QuasiRack, d=None) -> dict:
+def quasi_rack_profile(q: QuasiRack) -> dict:
     """The Table 1 flags of a quasi rack, keyed by the ``FILTERS`` names
     in their order: (*), (**), (***) and whether the derived map is a
-    solution; d is the derived map, built here unless the caller has it."""
+    solution."""
     return {
         "star": check_star(q),
         "starstar": check_starstar(q),
         "starstarstar": check_starstarstar(q),
-        "derived_is_solution": is_solution(derived_map(q) if d is None else d),
+        "derived_is_solution": is_solution(derived_map(q)),
     }
 
 

@@ -110,7 +110,7 @@ def magma_from_text(text: str) -> Magma:
 
 
 def magma_to_json(table: Magma) -> str:
-    return json.dumps({"n": len(table), "table": [list(r) for r in table]})
+    return json.dumps({"n": len(table), "table": table})
 
 
 def magma_from_json(text: str) -> Magma:
@@ -141,9 +141,7 @@ def solution_from_text(text: str) -> Solution:
 
 
 def solution_to_json(s: Solution) -> str:
-    return json.dumps(
-        {"n": s.n, "lambda": [list(r) for r in s.lam], "rho": [list(r) for r in s.rho]}
-    )
+    return json.dumps({"n": s.n, "lambda": s.lam, "rho": s.rho})
 
 
 def solution_from_json(text: str) -> Solution:
@@ -156,9 +154,7 @@ def solution_from_json(text: str) -> Solution:
 
 
 def twist_to_json(t: TwistFamily) -> str:
-    return json.dumps(
-        {"shelf": [list(r) for r in t.table], "phi": [list(p) for p in t.phi]}
-    )
+    return json.dumps({"shelf": t.table, "phi": t.phi})
 
 
 def twist_from_json(text: str) -> TwistFamily:
@@ -169,12 +165,9 @@ def twist_from_json(text: str) -> TwistFamily:
 def _system_to_json(sys: SemilatticeSystem, fiber_key: str) -> str:
     return json.dumps(
         {
-            "semilattice": {"m": sys.points, "meet": [list(r) for r in sys.meet]},
-            fiber_key: [[list(r) for r in f] for f in sys.fibers],
-            "homs": [
-                {"from": a, "to": b, "map": list(f)}
-                for (a, b), f in sorted(sys.homs.items())
-            ],
+            "semilattice": {"m": sys.points, "meet": sys.meet},
+            fiber_key: sys.fibers,
+            "homs": [{"from": a, "to": b, "map": f} for (a, b), f in sorted(sys.homs.items())],
         }
     )
 
@@ -205,9 +198,7 @@ def system_from_json(text: str) -> SemilatticeSystem:
 
 
 def weak_brace_to_json(b: WeakBrace) -> str:
-    return json.dumps(
-        {"n": b.n, "add": [list(r) for r in b.add], "mul": [list(r) for r in b.mul]}
-    )
+    return json.dumps({"n": b.n, "add": b.add, "mul": b.mul})
 
 
 def weak_brace_tables(text: str) -> tuple:

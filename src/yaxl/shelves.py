@@ -142,9 +142,7 @@ def derived_map(q: QuasiRack):
     """
     from .solutions import Solution
 
-    lam = q.L_zero
-    rho = q.table  # rho_y(x) = L_y(x): row y acts
-    return Solution(lam=tuple(lam), rho=tuple(tuple(row) for row in rho))
+    return Solution(lam=q.L_zero, rho=q.table)  # rho_y(x) = L_y(x): row y acts
 
 
 def derived_relative_inverse(q: QuasiRack):
@@ -157,19 +155,17 @@ def derived_relative_inverse(q: QuasiRack):
 
     if not check_starstarstar(q):
         raise ValueError("relative inverse formula requires L^0_x(x) = x")
-    return Solution(lam=tuple(q.L_inv), rho=tuple(q.L_zero))
+    return Solution(lam=q.L_inv, rho=q.L_zero)
 
 
 def opposite_right_quasi_rack(q: QuasiRack) -> Magma:
     """The right quasi rack y <| x := L^-_x(y); requires L^0_x(x) = x."""
     if not check_starstarstar(q):
         raise ValueError("opposite structure requires L^0_x(x) = x")
-    n = q.n
-    table = tuple(tuple(q.L_inv[x][y] for x in range(n)) for y in range(n))
     # right self-distributivity is guaranteed; keep it checked, as left
-    # self-distributivity of the transposed table
-    guarantee(is_left_shelf(tuple(zip(*table))), "y <| x := L^-_x(y) is not right self-distributive")
-    return table
+    # self-distributivity of the table's transpose L^-
+    guarantee(is_left_shelf(q.L_inv), "y <| x := L^-_x(y) is not right self-distributive")
+    return tuple(zip(*q.L_inv))
 
 
 def relabel(table: Magma, perm: FnMap) -> Magma:

@@ -292,14 +292,15 @@ def lyubashenko(f: FnMap, g: FnMap) -> Solution:
     quasi non-degenerate solution, and cubic (r^3 = r) when g is the
     relative inverse of f.
     """
-    if len(f) != len(g):
-        raise ValueError("size mismatch")
+    n = len(f)
+    for name, m in (("f", f), ("g", g)):
+        if len(m) != n or any(type(v) is not int or not 0 <= v < n for v in m):
+            raise ValueError(f"map {name} = {m} is not a map on {n} points")
     if not commutes(f, g):
         raise ValueError("maps must commute")
     tf = relative_inverse(f)
     if tf is None or relative_inverse(g) is None:
         raise ValueError("maps must be completely regular")
-    n = len(f)
     s = Solution(lam=tuple(f for _ in range(n)), rho=tuple(g for _ in range(n)))
     if g == tf.inv:
         r = pair_map(s)

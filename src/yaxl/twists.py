@@ -131,14 +131,10 @@ def solution_from_twist(t: TwistFamily) -> Solution:
 
 
 def _twist_map(t: TwistFamily) -> Solution:
-    n = t.n
-    lam = t.phi
-    rho = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            pab = t.phi[a][b]
-            rho[b][a] = t.phi_inv[pab][t.table[pab][a]]
-    return Solution(lam=tuple(lam), rho=tuple(tuple(r) for r in rho))
+    """r(a, b) = (phi_a(b), phi^-_p(p |> a)) with p = phi_a(b); column b
+    of phi gives rho_b."""
+    rho = tuple(tuple(t.phi_inv[p][t.table[p][a]] for a, p in enumerate(col)) for col in zip(*t.phi))
+    return Solution(lam=t.phi, rho=rho)
 
 
 def twist_theorem_roundtrip(t: TwistFamily) -> bool:

@@ -92,12 +92,13 @@ def test_check_shelf_builds_the_derived_map_once(tmp_path, monkeypatch, capsys):
     calls = count_calls(monkeypatch, shelves.derived_map, shelves.is_quasi_quandle,
                         solutions.from_pair_map, shelves.is_left_shelf)
     assert main(["check", "shelf", path]) == 0
-    # one derived map serves derived_is_solution and derived_quasi_bijective,
-    # whose relative inverse is not decoded; quandle and quasi_quandle share
-    # one diagonal test (2, 2 and 1 calls when each flag was decided apart);
-    # rack and quandle are read off the idempotents, so self-distributivity
-    # is decided once
-    assert calls == {"derived_map": 1, "is_quasi_quandle": 1, "from_pair_map": 0, "is_left_shelf": 1}
+    # the derived map, which copies nothing, is built once for
+    # derived_is_solution and, as it is a solution here, once for
+    # derived_quasi_bijective, whose relative inverse is not decoded;
+    # quandle and quasi_quandle share one diagonal test (2, 2 and 1 calls
+    # when each flag was decided apart); rack and quandle are read off the
+    # idempotents, so self-distributivity is decided once
+    assert calls == {"derived_map": 2, "is_quasi_quandle": 1, "from_pair_map": 0, "is_left_shelf": 1}
     report = json.loads(capsys.readouterr().out)
     assert report["quandle"] is True and report["derived_quasi_bijective"] is True
 

@@ -95,6 +95,13 @@ def test_groups():
     assert len(labeled_groups(4)) == 16
 
 
+@pytest.mark.parametrize("n", [0, 6])
+def test_groups_of_unlisted_orders_are_refused(n):
+    # Z_6 alone would leave out S_3, and () is not a group
+    with pytest.raises(ValueError, match=f"^groups of order {n} are not listed; orders 1 to 5 are$"):
+        groups_of_order(n)
+
+
 def test_labeled_group_counts():
     # cross-check the small orders against the full n^(n^2) table space,
     # where is_group must agree with the Latin-square definition
@@ -213,6 +220,9 @@ def test_constant_shelf():
         constant_shelf(3, (1, 2, 0))  # not idempotent
     with pytest.raises(ValueError):
         constant_shelf(2, (0, 0, 2))
+    # an entry off the carrier is named before the idempotency check reads it
+    with pytest.raises(ValueError, match=r"^map \(0, 5\) is not a map on 2 points$"):
+        constant_shelf(2, (0, 5))
 
 
 def test_cocycle_extension():
@@ -351,6 +361,18 @@ def test_all_skew_braces_order_4():
     for b in braces[:5]:
         assert is_clifford(b.mul)
         assert is_solution(brace_solution(b))
+
+
+def test_dual_weak_brace_fixtures_are_the_trivial_then_skew_walk():
+    # the trivial and opposite-trivial braces of each generated Clifford
+    # semigroup, then the skew braces, each (add, mul) at its first place
+    walk = []
+    for sys in all_systems(group_fibers(5)):
+        c = clifford_from_system(sys)
+        walk += [trivial_brace(c), opposite_trivial_brace(c)]
+    walk += [b for n in range(1, 5) for b in all_skew_braces(n)]
+    fixtures = list(dual_weak_brace_fixtures())
+    assert fixtures == list(dict.fromkeys(walk)) and len(fixtures) == 84
 
 
 def test_dual_weak_brace_fixture_count():

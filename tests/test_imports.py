@@ -1,9 +1,10 @@
 """Every name a ``yaxl`` module imports at top level is used in it,
 every private top-level function or class is read by some module, the
 row-placement engine and the translation-identity checks have only
-their two callers, the sampled searches draw through one helper, the
-command-line parsers are built in one place, and every theorem guarantee
-fails through ``fnmap.guarantee``."""
+their two callers, the sampled searches draw through one helper, a
+brace's lambda and the conjugation x^- y x are each built in one place,
+the command-line parsers are built in one place, and every theorem
+guarantee fails through ``fnmap.guarantee``."""
 
 import ast
 from pathlib import Path
@@ -108,6 +109,20 @@ def test_translation_identities_have_one_routine():
     sources = [path.read_text() for path in SRC]
     assert placement_callers(sources, "_translation_checks") == ["_search_labeled", "_rho_placements"]
     assert placement_callers(sources, "_masks_of") == ["_compat_masks", "_translation_checks"]
+
+
+def test_each_table_formula_has_one_builder():
+    # a brace's lambda is built only for its solution, whose rho reads
+    # it; x^- y x is built only by _conjugation, for the conjugation and
+    # deformed quasi racks and the brace's expected structure magma; a
+    # further caller of either fails here
+    sources = [path.read_text() for path in SRC]
+    assert placement_callers(sources, "brace_lambda") == ["brace_solution"]
+    assert placement_callers(sources, "_conjugation") == [
+        "conjugation_quasi_quandle",
+        "deformed_quasi_rack",
+        "brace_structure_shelf_check",
+    ]
 
 
 def test_one_builder_adds_every_parser_and_argument():

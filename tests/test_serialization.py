@@ -1,9 +1,20 @@
+import json
+
 import pytest
 
-from fixtures import dihedral_quandle, trivial_quandle, two_chain_clifford
-from yaxl.constructions import SemilatticeSystem, cyclic_group, trivial_brace
+from fixtures import all_rack_systems, dihedral_quandle, trivial_quandle, two_chain_clifford
+from yaxl.constructions import (
+    SemilatticeSystem,
+    all_systems,
+    brace_solution,
+    cyclic_group,
+    dual_weak_brace_fixtures,
+    group_fibers,
+    trivial_brace,
+)
+from yaxl.enumeration import enumerate_canonical
 from yaxl.fnmap import identity
-from yaxl.plonka import PlonkaSystem, plonka_sum
+from yaxl.plonka import PlonkaSystem, decompose, plonka_sum
 from yaxl.serialization import (
     magma_from_json,
     magma_from_text,
@@ -22,7 +33,7 @@ from yaxl.serialization import (
     weak_brace_from_json,
     weak_brace_to_json,
 )
-from yaxl.shelves import derived_map, quasi_rack_structure
+from yaxl.shelves import check_star, check_starstarstar, derived_map, quasi_rack_structure
 from yaxl.twists import make_twist_family
 
 
@@ -113,3 +124,54 @@ def test_plonka_json_roundtrip():
     back = plonka_from_json(plonka_to_json(p))
     assert back == p
     assert plonka_sum(back) == plonka_sum(p)
+
+
+def _rows(table):
+    return [list(row) for row in table]
+
+
+def _system(sys, fiber_key):
+    return {
+        "semilattice": {"m": sys.points, "meet": _rows(sys.meet)},
+        fiber_key: [_rows(f) for f in sys.fibers],
+        "homs": [{"from": a, "to": b, "map": list(f)} for (a, b), f in sorted(sys.homs.items())],
+    }
+
+
+# each writer's object with every row copied into a list, which
+# json.dumps writes as the same array a tuple gives
+LISTED = {
+    "magma": (magma_to_json, lambda t: {"n": len(t), "table": _rows(t)}),
+    "solution": (solution_to_json, lambda s: {"n": s.n, "lambda": _rows(s.lam), "rho": _rows(s.rho)}),
+    "twist": (twist_to_json, lambda t: {"shelf": _rows(t.table), "phi": _rows(t.phi)}),
+    "system": (system_to_json, lambda sys: _system(sys, "groups")),
+    "weak_brace": (weak_brace_to_json, lambda b: {"n": b.n, "add": _rows(b.add), "mul": _rows(b.mul)}),
+    "plonka": (plonka_to_json, lambda p: _system(p, "fibers")),
+}
+
+
+def _writer_fixtures(kind):
+    tables = [t for n in (1, 2, 3) for t in enumerate_canonical(n, "quasi_rack")]
+    quasi_racks = [quasi_rack_structure(t) for t in tables]
+    braces = list(dual_weak_brace_fixtures(max_size=3, max_skew_order=3))
+    if kind == "magma":
+        return [()] + tables
+    if kind == "solution":
+        return [derived_map(q) for q in quasi_racks] + [brace_solution(b) for b in braces]
+    if kind == "twist":
+        return [make_twist_family(t, t) for t in tables]  # a quasi rack's translations
+    if kind == "system":
+        return list(all_systems(group_fibers(4)))
+    if kind == "weak_brace":
+        return braces
+    split = [decompose(q) for q in quasi_racks if check_star(q) and check_starstarstar(q)]
+    return split + list(all_rack_systems(3, 2))
+
+
+@pytest.mark.parametrize("kind", LISTED)
+def test_json_writers_match_the_listed_objects(kind):
+    write, listed = LISTED[kind]
+    fixtures = _writer_fixtures(kind)
+    assert len(fixtures) > 10
+    for obj in fixtures:
+        assert write(obj) == json.dumps(listed(obj))

@@ -98,6 +98,14 @@ def test_derived_relative_inverse_requires_sss():
     assert s.lam == q.L_inv and s.rho == q.L_zero
 
 
+def test_derived_maps_share_the_quasi_racks_tables():
+    # both pair maps are read off the quasi rack's own tuples, uncopied
+    q = quasi_rack_structure(SSS_NOT_STAR)
+    d, inv = derived_map(q), derived_relative_inverse(q)
+    assert d.lam is q.L_zero and d.rho is q.table
+    assert inv.lam is q.L_inv and inv.rho is q.L_zero
+
+
 def test_opposite_right_quasi_rack():
     q = quasi_rack_structure(dihedral_quandle(3))
     t = opposite_right_quasi_rack(q)

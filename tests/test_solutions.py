@@ -202,6 +202,11 @@ def test_lyubashenko():
         lyubashenko((1, 0, 2), (0, 2, 1))  # permutations that do not commute
     with pytest.raises(ValueError):
         lyubashenko((0, 0, 1), (0, 0, 1))  # not completely regular
+    # an entry off the carrier is named before the commutation test reads it
+    with pytest.raises(ValueError, match=r"^map f = \(0, 5\) is not a map on 2 points$"):
+        lyubashenko((0, 5), (0, 1))
+    with pytest.raises(ValueError, match=r"^map g = \(2, 0\) is not a map on 2 points$"):
+        lyubashenko((0, 1), (2, 0))
 
 
 def test_lyubashenko_conditions_profile():

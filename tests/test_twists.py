@@ -1,19 +1,23 @@
+import itertools
 import random
 
 import pytest
 
 from fixtures import dihedral_quandle, trivial_quandle
-from yaxl.enumeration import abc_solutions, enumerate_canonical
-from yaxl.fnmap import identity
+from yaxl.enumeration import _search_labeled, abc_solutions, enumerate_canonical
+from yaxl.fnmap import identity, relative_inverse
 from yaxl.shelves import (
     check_star,
     check_starstar,
     derived_map,
+    endomorphisms,
     is_left_shelf,
     quasi_rack_structure,
 )
 from yaxl.solutions import abc_family, is_solution, quasi_left_nondeg, structure_magma
 from yaxl.twists import (
+    TwistFamily,
+    _twist_map,
     is_g_twist,
     l0_com_holds,
     make_twist_family,
@@ -146,6 +150,24 @@ def test_every_abc_solution_is_a_g_twist(n, solutions, quasi_racks):
         found += 1
         racks += quasi_rack_structure(table) is not None
     assert (found, racks) == (solutions, quasi_racks)
+
+
+@pytest.mark.parametrize("n, families, g_twists", [(1, 1, 1), (2, 70, 18), (3, 51960, 552)])
+def test_every_g_twist_gives_an_abc_solution(n, families, g_twists):
+    # the converse of test_every_abc_solution_is_a_g_twist, not sampled:
+    # over every labeled left shelf on n points, every family phi of its
+    # completely regular endomorphisms; the g-twists with central phi
+    # idempotents induce exactly the (A)(B)(C) solutions, one each
+    tried, found = 0, []
+    for table in _search_labeled(n, "shelf"):
+        triples = [t for t in map(relative_inverse, endomorphisms(table)) if t is not None]
+        for combo in itertools.product(triples, repeat=n):
+            tried += 1
+            t = TwistFamily(table, *map(tuple, zip(*combo)))  # phi, phi^- and phi^0
+            if is_g_twist(t) and phi_idempotents_central(t):
+                found.append(_twist_map(t))
+    assert (tried, len(found)) == (families, g_twists)
+    assert set(found) == {s for s, _ in abc_solutions(n)}
 
 
 def test_twist_from_solution_rejects():
