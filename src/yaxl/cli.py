@@ -82,10 +82,11 @@ def _check_shelf(table) -> dict:
     q = None if family is None else shelves.QuasiRack(table, family.inv, family.zero)
     # a rack is a quasi rack whose idempotents are all the identity
     rack = q is not None and all(z == tuple(range(q.n)) for z in q.L_zero)
-    report.update(rack=rack, quandle=rack and shelves.is_quasi_quandle(q), quasi_rack=q is not None)
+    quasi_quandle = q is not None and shelves.is_quasi_quandle(q)
+    report.update(rack=rack, quandle=rack and quasi_quandle, quasi_rack=q is not None)
     if q is None:
         return report
-    report["quasi_quandle"] = report["quandle"] if rack else shelves.is_quasi_quandle(q)
+    report["quasi_quandle"] = quasi_quandle
     report.update(enumeration.quasi_rack_profile(q))
     if report["derived_is_solution"]:
         r = solutions.pair_map(shelves.derived_map(q))

@@ -17,12 +17,12 @@ component rho_z rho_y = rho_{rho_z(y)} rho_{lambda_y(z)}.
 
 The labeled search places left-translation rows.  Candidate rows are
 permutations (rack/quandle), completely regular maps (quasi classes) or
-arbitrary maps (shelf), indexed once per search.  Idempotent centrality
-(quasi classes) depends only on a pair of candidates, so it is
-precomputed as one bitmask of compatible candidates per candidate, and
-the search carries the intersection of the masks of the placed rows.
-With the self-distributivity checks a completed assignment satisfies
-the class axioms by construction.
+arbitrary maps (shelf), indexed once per search by ``_candidates``.
+Idempotent centrality (quasi classes) depends only on a pair of
+candidates, so it is precomputed as one bitmask of compatible
+candidates per candidate, and the search carries the intersection of
+the masks of the placed rows.  With the self-distributivity checks a
+completed assignment satisfies the class axioms by construction.
 
 The search itself decides isomorphism rejection: with ``canonical`` it
 yields a labeled table only if no relabeling is lexicographically
@@ -70,26 +70,23 @@ _QUASI = {"quasi_rack", "quasi_quandle"}
 SIZE_GUARD = 5
 
 
-def _regular_candidates(n: int) -> list:
-    """(map, idempotent) for every completely regular map on n points."""
-    triples = map(relative_inverse, itertools.product(range(n), repeat=n))
-    return [(t.f, t.zero) for t in triples if t is not None]
-
-
-def _row_candidates(n: int, klass: str) -> tuple:
-    """The candidate (map, zero-or-None) pairs of the class, and per row
-    the indices of those allowed there; quandle classes pin the diagonal."""
+def _candidates(n: int, klass: str) -> tuple:
+    """The class's candidate rows: its maps in lexicographic order, per
+    row the mask of those allowed there (quandle classes pin the
+    diagonal), and for a quasi class each map's idempotent, else None."""
+    every, zeros = itertools.product(range(n), repeat=n), None
     if klass in ("rack", "quandle"):
-        base = [(tuple(p), None) for p in itertools.permutations(range(n))]
+        maps = list(itertools.permutations(range(n)))
     elif klass in _QUASI:
-        base = _regular_candidates(n)
+        pairs = [(t.f, t.zero) for t in map(relative_inverse, every) if t is not None]
+        maps, zeros = [f for f, _ in pairs], [z for _, z in pairs]
     else:
-        base = [(f, None) for f in itertools.product(range(n), repeat=n)]
+        maps = list(every)
     if klass in ("quandle", "quasi_quandle"):
-        rows = [[i for i, (f, _) in enumerate(base) if f[x] == x] for x in range(n)]
+        rows = [sum(1 << i for i, f in enumerate(maps) if f[x] == x) for x in range(n)]
     else:
-        rows = [list(range(len(base))) for _ in range(n)]
-    return base, rows
+        rows = [(1 << len(maps)) - 1] * n
+    return maps, rows, zeros
 
 
 def _value_index(maps) -> list:
@@ -116,25 +113,25 @@ def _masks_of(at, m) -> tuple:
     return pre, commuting
 
 
-def _compat_masks(base, at) -> list:
-    """Bit j of mask i is set iff the idempotent of candidate i commutes
-    with map j and the idempotent of j with map i.
+def _compat_masks(zeros, at) -> list:
+    """Bit j of mask i is set iff idempotent i (``zeros[i]``, of map i)
+    commutes with map j and idempotent j with map i.
 
     ``at`` is the ``_value_index`` of the maps; the maps commuting with
     each distinct idempotent are one ``_masks_of``.
     """
     members: dict = {}
-    for i, (_, z) in enumerate(base):
+    for i, z in enumerate(zeros):
         members[z] = members.get(z, 0) | (1 << i)
     commuting = {}  # idempotent -> maps commuting with it
-    central = [0] * len(base)  # map -> candidates whose idempotent commutes with it
+    central = [0] * len(zeros)  # map -> candidates whose idempotent commutes with it
     for z, group in members.items():
         commuting[z] = todo = _masks_of(at, z)[1]
         while todo:
             low = todo & -todo
             todo ^= low
             central[low.bit_length() - 1] |= group
-    return [commuting[z] & central[i] for i, (_, z) in enumerate(base)]
+    return [commuting[z] & central[i] for i, z in enumerate(zeros)]
 
 
 def _place(maps, row_masks, compat=None, place_ok=None, forced=None):
@@ -253,10 +250,11 @@ def _translation_checks(at):
     return checks
 
 
-def _first_row_minima(n: int, maps, row_cands) -> list:
+def _first_row_minima(n: int, maps, rows) -> list:
     """least[k][i]: the least first row p f q over the relabelings q with
-    q(0) = k (p = q^-1), for each f = maps[i] allowed in row k, for the
-    rows k that ``row_cands`` lists.
+    q(0) = k (p = q^-1), for each f = maps[i] allowed in row k by the
+    mask ``rows[k]``; row 0 keeps only the f with least[0][i] = f, the
+    first rows of canonical tables.
 
     With tau the transposition (0 k) this is the least p' (tau f tau) q'
     over q' with q'(0) = 0, so each conjugate tau f tau costs (n - 1)!
@@ -270,41 +268,40 @@ def _first_row_minima(n: int, maps, row_cands) -> list:
         return min(tuple([p[f[v]] for v in q]) for q, p in fixing)
 
     out = []
-    for k, cands in enumerate(row_cands):
+    for k, mask in enumerate(rows):
         tau = list(range(n))
         tau[0], tau[k] = k, 0
-        out.append({i: least(tuple(tau[maps[i][v]] for v in tau)) for i in cands})
+        # the set bits of the mask, read off its binary digits low first
+        allowed = (i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+        out.append({i: least(tuple(tau[maps[i][v]] for v in tau)) for i in allowed})
+    out[0] = {i: f for i, f in out[0].items() if f == maps[i]}
     return out
 
 
-def _search_labeled(n: int, klass: str, first_rows=None, canonical: bool = False,
+def _search_labeled(n: int, klass: str, first_rows: int = -1, canonical: bool = False,
                     least=None, shelf: bool = True):
     """Yield every labeled table of the class, depth-first.
 
-    ``first_rows`` restricts row 0 to the given indices into its
-    candidate list (used to split the tree across workers).  With
-    ``canonical``, only the tables that no relabeling makes smaller are
-    yielded, in the same order; ``least`` passes the class's
-    ``_first_row_minima`` when the caller has them already.  With
-    ``shelf=False`` the self-distributivity checks are off: a quasi
-    class then yields every family of completely regular maps whose
-    idempotents commute with every member (the lambda families of the
-    open-question searches), with ``canonical`` one per simultaneous
-    relabeling class.
+    Row 0 takes only the candidates in the mask ``first_rows`` (used to
+    split the tree across workers).  With ``canonical``, only the tables
+    that no relabeling makes smaller are yielded, in the same order;
+    ``least`` passes the class's ``_first_row_minima`` when the caller
+    has them already.  With ``shelf=False`` the self-distributivity
+    checks are off: a quasi class then yields every family of completely
+    regular maps whose idempotents commute with every member (the lambda
+    families of the open-question searches), with ``canonical`` one per
+    simultaneous relabeling class.
     """
-    base, row_cands = _row_candidates(n, klass)
-    maps = [f for f, _ in base]
-    if first_rows is not None:
-        row_cands[0] = [row_cands[0][i] for i in first_rows]
-    row_masks = [sum(1 << i for i in c) for c in row_cands]
+    maps, row_masks, zeros = _candidates(n, klass)
+    row_masks[0] &= first_rows
     span = range(n)
     at = _value_index(maps)  # at[v][a]: the candidates f with f(v) = a
-    compat = _compat_masks(base, at) if klass in _QUASI else None
+    compat = None if zeros is None else _compat_masks(zeros, at)
 
     if canonical:
         if least is None:
-            least = _first_row_minima(n, maps, row_cands)
-        row_masks[0] = sum(1 << i for i in row_cands[0] if least[0][i] == maps[i])
+            least = _first_row_minima(n, maps, row_masks)
+        row_masks[0] &= sum(1 << i for i in least[0])  # the canonical first rows
         index = {f: i for i, f in enumerate(maps)}
         live = [()] * n  # live[k]: (q, p, i) after row k, rows 0..i-1 of p L q tied
 
@@ -388,8 +385,7 @@ def _searched_quasi_racks(tables):
         yield QuasiRack(table, tuple(t.inv for t in row_triples), tuple(t.zero for t in row_triples))
 
 
-def _worker(least, args):
-    n, klass, chunk = args
+def _worker(n: int, klass: str, least, chunk: int) -> list:
     return list(_search_labeled(n, klass, chunk, canonical=True, least=least))
 
 
@@ -413,15 +409,14 @@ def enumerate_canonical(
     if workers == 1:
         survivors = list(_search_labeled(n, klass, canonical=True))
     else:
-        base, row_cands = _row_candidates(n, klass)
+        maps, rows, _ = _candidates(n, klass)
         # computed once for every row, and handed to each worker
-        least = _first_row_minima(n, [f for f, _ in base], row_cands)
-        roots = [j for j, i in enumerate(row_cands[0]) if least[0][i] == base[i][0]]
-        chunks = [roots[w::workers] for w in range(min(workers, len(roots)))]
+        least = _first_row_minima(n, maps, rows)
+        roots = list(least[0])  # the canonical first rows, dealt round-robin
+        chunks = [sum(1 << i for i in roots[w::workers]) for w in range(min(workers, len(roots)))]
         survivors = []
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            work = functools.partial(_worker, least)
-            for part in pool.map(work, [(n, klass, c) for c in chunks]):
+            for part in pool.map(functools.partial(_worker, n, klass, least), chunks):
                 survivors.extend(part)
     if filters:
         survivors = [q.table for q in _searched_quasi_racks(survivors)
@@ -531,7 +526,7 @@ def _cell_table(f) -> list:
 def _rho_placements(n: int, klass: str, lams):
     """Yield the tables (lambda, rho) as a ``Solution``, unchecked, for
     each lambda of ``lams`` and each rho with rows among the class's
-    candidate rows (``_row_candidates``; for a quasi class, rho is quasi
+    candidate rows (``_candidates``; for a quasi class, rho is quasi
     right non-degenerate by ``_compat_masks``), in the lexicographic
     order of the tables.
 
@@ -542,13 +537,12 @@ def _rho_placements(n: int, klass: str, lams):
     the pairs its docstring names undecided; so the caller decides the
     braid identity of every pair yielded.
     """
-    base, _ = _row_candidates(n, klass)
-    maps = [f for f, _ in base]
+    maps, rows, zeros = _candidates(n, klass)
     at = _value_index(maps)
-    compat = _compat_masks(base, at) if klass in _QUASI else None
+    compat = None if zeros is None else _compat_masks(zeros, at)
     checks = _translation_checks(at)  # one _masks_of cache for every lambda
     for lam in lams:
-        row_masks = [-1] * n
+        row_masks = list(rows)
         for y, cells in enumerate(_cell_table(lam)):  # cells[x]: the values rho_y(x) may take
             for x, values in enumerate(cells):
                 row_masks[y] &= sum(at[x][c] for c in values)
@@ -623,10 +617,9 @@ def _sampled(n: int, seed, samples: int, joint: bool):
     rounds that passes ``_compatible``: lambda among the completely
     regular maps, rho among them and tested with lambda (``joint``), or
     among all maps and untested (quasi left non-degeneracy only)."""
-    base = _regular_candidates(n)
-    lams = [f for f, _ in base]
-    rhos = lams if joint else list(itertools.product(range(n), repeat=n))
-    compat = _compat_masks(base, _value_index(lams))
+    lams, _, zeros = _candidates(n, "quasi_rack")
+    rhos = lams if joint else _candidates(n, "shelf")[0]
+    compat = _compat_masks(zeros, _value_index(lams))
     for idx in _choices(random.Random(seed), [len(lams)] * n + [len(rhos)] * n, samples):
         if _compatible(compat, idx if joint else idx[:n]):
             yield Solution(lam=tuple(lams[i] for i in idx[:n]), rho=tuple(rhos[i] for i in idx[n:]))

@@ -209,15 +209,18 @@ def derived_shelf(s: Solution) -> Magma:
     return table
 
 
-def verify_section3_identities(
-    s: Solution, d: RegularFamily, a: bool, b: bool, c: bool
-) -> dict:
+def verify_section3_identities(s: Solution) -> dict:
     """Check the identity packs whose hypotheses among (A), (B), (C) hold.
 
     Returns {identity name: bool}; an identity is only present when its
     hypotheses are met, and all present entries must be True for every
-    genuine quasi left non-degenerate solution.
+    genuine quasi left non-degenerate solution.  Raises ValueError if s
+    is not quasi left non-degenerate.
     """
+    d = quasi_left_nondeg(s)
+    if d is None:
+        raise ValueError("not a quasi left non-degenerate solution")
+    a, b, c = check_A(s, d), check_B(s, d), check_C(s, d)
     n = s.n
     lam, rho = s.lam, s.rho
     inv, zero = d.inv, d.zero

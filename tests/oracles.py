@@ -9,7 +9,7 @@ library's checks to pin the random stream of the sampled searches.
 import itertools
 import random
 
-from yaxl.enumeration import _compat_masks, _regular_candidates, _value_index
+from yaxl.enumeration import _candidates, _compat_masks, _value_index
 from yaxl.fnmap import relative_inverse
 from yaxl.shelves import quasi_rack_structure
 from yaxl.solutions import Solution, abc_family, is_solution, pair_map, structure_magma
@@ -280,8 +280,8 @@ def choice_question1(n, seed, samples):
     candidates = []
     checked = 0
     rng = random.Random(seed)
-    cands = _regular_candidates(n)
-    compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
+    cands, _, zeros = _candidates(n, "quasi_rack")
+    compat = _compat_masks(zeros, _value_index(cands))
     picks = range(len(cands))
     for _ in range(samples):
         # lambda_0..lambda_{n-1}, then rho_0..rho_{n-1}
@@ -289,7 +289,7 @@ def choice_question1(n, seed, samples):
         if not all(compat[i] >> j & 1 for i in idx for j in idx):
             continue
         checked += 1
-        maps = [cands[i][0] for i in idx]
+        maps = [cands[i] for i in idx]
         s = Solution(lam=tuple(maps[:n]), rho=tuple(maps[n:]))
         if is_solution(s) and relative_inverse(pair_map(s)) is None:
             candidates.append(s)
@@ -313,9 +313,9 @@ def choice_question2(n, seed, samples):
             candidates.append(s)
 
     rng = random.Random(seed)
-    cr = _regular_candidates(n)
+    cr = _candidates(n, "quasi_rack")[0]
     for _ in range(samples):
-        lam = tuple(f for f, _ in (rng.choice(cr) for _ in range(n)))
+        lam = tuple(rng.choice(cr) for _ in range(n))
         rho = tuple(rng.choice(all_maps) for _ in range(n))
         consider(Solution(lam=lam, rho=rho))
     return {"n": n, "exhaustive": False, "seed": seed, "solutions_meeting_hypotheses": checked,

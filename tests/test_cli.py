@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import (
     INVERSE_NOT_A_SOLUTION,
+    SSS_NOT_STAR,
     count_calls,
     dihedral_quandle,
     run_python,
@@ -46,6 +47,24 @@ def test_check_shelf_ok(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["quandle"] and report["quasi_quandle"]
     assert report["derived_is_solution"]
+
+
+def test_check_shelf_human_prints_one_line_per_flag(tmp_path, capsys):
+    path = write(tmp_path, "q.txt", magma_to_text(SSS_NOT_STAR))
+    assert main(["check", "shelf", path, "--human"]) == 0
+    assert capsys.readouterr() == (
+        "left_shelf: True\n"
+        "rack: False\n"
+        "quandle: False\n"
+        "quasi_rack: True\n"
+        "quasi_quandle: True\n"
+        "star: False\n"
+        "starstar: True\n"
+        "starstarstar: True\n"
+        "derived_is_solution: True\n"
+        "derived_quasi_bijective: True\n",
+        "",
+    )
 
 
 def _shelf_report(table):
@@ -274,6 +293,17 @@ def test_table1(capsys):
     assert report["match"] and len(report["rows"]) == 3
 
 
+def test_table1_human(capsys):
+    assert main(["table1", "--human"]) == 0
+    assert capsys.readouterr() == (
+        "     n       r      qr      ds  qr_star  qr_starstar  qr_starstarstar\n"
+        "     2       2       5       4       4       4       3\n"
+        "     3       6      31      20      17      19      13\n"
+        "     4      19     325     169      90     151      91\n",
+        "",
+    )
+
+
 def test_derive_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "q.txt", magma_to_text(dihedral_quandle(3)))
     out = str(tmp_path / "s.txt")
@@ -459,6 +489,36 @@ def test_gluing_maps_outside_the_required_pairs_are_refused(tmp_path, capsys, co
     capsys.readouterr()
     assert main(command + [write(tmp_path, "bad.json", _CHAIN_PLONKA % (before, after))]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_ONE = ((0,),)  # the one-point group, a rack too
+_TRIVIAL2 = ((0, 1), (0, 1))  # the 2-point trivial quandle
+_CHAIN3 = tuple(tuple(min(a, b) for b in range(3)) for a in range(3))
+_SYSTEM_REFUSALS = {
+    # x * y = y: associative and idempotent, not commutative
+    "meet table is not a semilattice": SemilatticeSystem(
+        ((0, 1), (0, 1)), (_ONE, _ONE), {(0, 0): (0,), (1, 1): (0,)}),
+    "need one fiber per semilattice point": SemilatticeSystem(((0,),), (_ONE, _ONE), {(0, 0): (0,)}),
+    # the 3-chain glued by the identity from 2 to 1 and from 1 to 0, but
+    # by the swap from 2 to 0
+    "gluing homomorphisms do not compose": SemilatticeSystem(_CHAIN3, (_TRIVIAL2,) * 3, {
+        (0, 0): (0, 1), (1, 1): (0, 1), (2, 2): (0, 1), (1, 0): (0, 1), (2, 1): (0, 1), (2, 0): (1, 0)}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [(["check", "plonka"], m) for m in _SYSTEM_REFUSALS]
+    + [(["construct", "plonka-sum"], m) for m in _SYSTEM_REFUSALS]
+    # the trivial quandle is not a group, so the last system is refused
+    # for its fibers before its gluing maps
+    + [(["construct", "clifford"], m) for m in list(_SYSTEM_REFUSALS)[:2]],
+)
+def test_system_refusals_end_with_one_message(tmp_path, capsys, command, message):
+    write_system = system_to_json if command[-1] == "clifford" else plonka_to_json
+    path = write(tmp_path, "sys.json", write_system(_SYSTEM_REFUSALS[message]))
+    assert main(command + [path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Every command that reads a JSON file, as the argument list before the path.

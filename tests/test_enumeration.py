@@ -30,12 +30,12 @@ from yaxl.enumeration import (
     table1_row,
     TABLE1_EXPECTED,
     abc_solutions,
+    _candidates,
     _choices,
     _compat_masks,
     _compatible,
     _orbits,
     _place,
-    _regular_candidates,
     _rho_placements,
     _search_labeled,
     _translation_checks,
@@ -149,7 +149,7 @@ def test_worker_pool_is_bounded_by_the_chunks(monkeypatch):
             return False
 
         def map(self, fn, items):
-            chunks.extend(chunk for _, _, chunk in items)
+            chunks.extend(items)
             return map(fn, items)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
@@ -163,7 +163,8 @@ def test_worker_pool_is_bounded_by_the_chunks(monkeypatch):
     ]
     assert len(roots) == 15
     assert asked and asked[0] <= len(roots)
-    assert all(chunks) and sorted(j for c in chunks for j in c) == roots
+    # each chunk is a mask over the same index
+    assert all(chunks) and sorted(j for c in chunks for j in range(27) if c >> j & 1) == roots
     assert tables == enumerate_canonical(3, "shelf", workers=1)
 
 
@@ -456,12 +457,12 @@ def test_sampled_searches_match_the_choice_loops(monkeypatch):
 
 
 def test_compatible_is_quasi_left_nondegeneracy():
-    cands = _regular_candidates(3)
+    cands, _, zeros = _candidates(3, "quasi_rack")
     assert len(cands) == 21
-    compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
+    compat = _compat_masks(zeros, _value_index(cands))
     passed = 0
     for idx in itertools.product(range(21), repeat=3):
-        lam = tuple(cands[i][0] for i in idx)
+        lam = tuple(cands[i] for i in idx)
         ok = _compatible(compat, idx)
         assert ok == (regular_family(lam) is not None), lam
         passed += ok
@@ -469,8 +470,8 @@ def test_compatible_is_quasi_left_nondegeneracy():
 
 
 def test_compatible_is_the_all_pairs_test():
-    cands = _regular_candidates(4)
-    compat = _compat_masks(cands, _value_index([f for f, _ in cands]))
+    cands, _, zeros = _candidates(4, "quasi_rack")
+    compat = _compat_masks(zeros, _value_index(cands))
     rng = random.Random(23)
     outcomes = set()
     for _ in range(20000):
@@ -526,11 +527,11 @@ def test_translation_checks_decide_exactly_the_stated_pairs(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_compat_masks_match_the_pairwise_definition(n):
-    cands = _regular_candidates(n)
-    at = _value_index([f for f, _ in cands])
-    for (f, z), mask in zip(cands, _compat_masks(cands, at)):
+    cands, _, zeros = _candidates(n, "quasi_rack")
+    pairs = list(zip(cands, zeros))
+    for (f, z), mask in zip(pairs, _compat_masks(zeros, _value_index(cands))):
         expected = sum(
-            1 << j for j, (g, w) in enumerate(cands) if commutes(z, g) and commutes(w, f)
+            1 << j for j, (g, w) in enumerate(pairs) if commutes(z, g) and commutes(w, f)
         )
         assert mask == expected
 

@@ -1,7 +1,7 @@
 """Every name a ``yaxl`` module imports at top level is used in it,
 every private top-level function or class is read by some module, the
 row-placement engine and the translation-identity checks have only
-their two callers, the sampled searches draw through one helper, a
+their two callers, a class's candidate rows have one builder, the sampled searches draw through one helper, a
 brace's lambda and the conjugation x^- y x are each built in one place,
 the command-line parsers are built in one place, and every theorem
 guarantee fails through ``fnmap.guarantee``."""
@@ -100,6 +100,20 @@ def test_place_has_two_callers():
     assert placement_callers(sources, "_rho_placements") == ["_labeled_pairs"]
     assert placement_callers(sources, "_orbits") == ["_labeled_pairs"]
     assert placement_callers(sources, "_labeled_pairs") == ["search_question1", "abc_solutions"]
+
+
+def test_candidate_rows_have_one_builder():
+    # the labeled search, its worker split, the rho placement and the
+    # sampled draws read one index of a class's candidate rows; a second
+    # builder or a further reader fails here
+    sources = [path.read_text() for path in SRC]
+    assert placement_callers(sources, "_candidates") == [
+        "_search_labeled",
+        "enumerate_canonical",
+        "_rho_placements",
+        "_sampled",
+        "_sampled",
+    ]
 
 
 def test_translation_identities_have_one_routine():

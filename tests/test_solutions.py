@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,11 +185,16 @@ def test_derived_shelf_returns_a_shelf_or_refuses_n2():
 
 def test_section3_identities_on_derived_maps():
     for table in (SSS_NOT_STAR, dihedral_quandle(3), trivial_quandle(4)):
-        s = derived_map(quasi_rack_structure(table))
-        d = quasi_left_nondeg(s)
-        a, b, c = check_A(s, d), check_B(s, d), check_C(s, d)
-        report = verify_section3_identities(s, d, a, b, c)
+        report = verify_section3_identities(derived_map(quasi_rack_structure(table)))
         assert report and all(report.values()), report
+
+
+def test_section3_identities_need_a_quasi_left_nondegenerate_solution():
+    # lambda_x = (0, 0, 1) for every x does not permute its image
+    s = Solution(lam=((0, 0, 1),) * 3, rho=((0, 1, 2),) * 3)
+    assert quasi_left_nondeg(s) is None
+    with pytest.raises(ValueError, match="^not a quasi left non-degenerate solution$"):
+        verify_section3_identities(s)
 
 
 def test_lyubashenko():
@@ -236,6 +242,23 @@ def test_constant_lambda_twist_rejects_varying_lambda():
     assert s.lam[0] != s.lam[1]
     with pytest.raises(ValueError):
         constant_lambda_twist(s)
+
+
+@pytest.mark.parametrize(
+    "lam, rho, message",
+    [
+        # (0, 0, 1) does not permute its image {0, 1}
+        ((0, 0, 1), ((0, 1, 2),) * 3, "shared lambda is not completely regular"),
+        # lambda^0 = (0, 1, 1) and rho_0 = (1, 0, 2) differ in order at 2
+        ((0, 1, 1), ((1, 0, 2),) * 3, "lambda^0 does not commute with rho_x"),
+        # rho_0 = id commutes with lambda^0, but lambda^0 rho_0 = lambda^0
+        ((0, 1, 1), ((0, 1, 2),) * 3, "rho_x != lambda^0 rho_{lambda^0(x)}"),
+    ],
+    ids=["not-completely-regular", "zero-not-commuting", "rho-not-absorbing-zero"],
+)
+def test_constant_lambda_twist_refuses_each_precondition(lam, rho, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        constant_lambda_twist(Solution(lam=(lam,) * 3, rho=rho))
 
 
 @given(st.integers(2, 4), st.randoms(use_true_random=False))
