@@ -31,23 +31,23 @@ call to ``shelves.is_canonical``.  With q(i) the old name of new label
 i and p = q^-1, row i of the relabeled table is p L_{q(i)} q.  A
 canonical table has L_0 <= m_k(L_k) for every k, where m_k(f) is the
 least p f q over the q with q(0) = k: row 0 takes only the f with
-m_0(f) = f, and row k >= 1 only the f with m_k(f) >= L_0, one cached
-bitmask per row and first row.  So only a relabeling that ties row 0
-can beat the table.  When row k is placed as an f with m_k(f) = L_0,
-the q with q(0) = k and p f q = L_0 become live, and after each row
-every live q is carried in order over the rows i for which rows i and
-q(i) are both placed: a smaller relabeled row prunes the subtree, a
-greater one drops q, an equal one moves on.  A complete table that
-survives is canonical; the canonical tables come out in the order of
-the labeled stream.
+m_0(f) = f, and row k >= 1 only the f with m_k(f) >= L_0, a suffix of
+the row's candidates sorted once by m_k (``_not_below``).  So only a
+relabeling that ties row 0 can beat the table.  When row k is placed
+as an f with m_k(f) = L_0, the q with q(0) = k and p f q = L_0 become
+live, and after each row every live q is carried in order over the
+rows i for which rows i and q(i) are both placed: a smaller relabeled
+row prunes the subtree, a greater one drops q, an equal one moves on.
+A complete table that survives is canonical; the canonical tables come
+out in the order of the labeled stream.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 from .fnmap import guarantee, relative_inverse
 from .shelves import (
@@ -257,15 +257,20 @@ def _first_row_minima(n: int, maps, rows) -> list:
     first rows of canonical tables.
 
     With tau the transposition (0 k) this is the least p' (tau f tau) q'
-    over q' with q'(0) = 0, so each conjugate tau f tau costs (n - 1)!
-    relabelings once, whichever rows it serves.
+    over q' with q'(0) = 0, which is the same for every member of the
+    orbit of tau f tau under those q'.  So each orbit is built once, the
+    first time any member is met, at (n - 1)! relabelings, and its
+    minimum recorded for every member.
     """
     fixing = [((0, *rest), sorted(range(n), key=(0, *rest).__getitem__))
               for rest in itertools.permutations(range(1, n))]
+    minima: dict = {}  # map -> the least member of its orbit
 
-    @functools.cache
     def least(f):
-        return min(tuple([p[f[v]] for v in q]) for q, p in fixing)
+        if f not in minima:
+            orbit = [tuple([p[f[v]] for v in q]) for q, p in fixing]
+            minima.update(dict.fromkeys(orbit, min(orbit)))
+        return minima[f]
 
     out = []
     for k, mask in enumerate(rows):
@@ -273,9 +278,29 @@ def _first_row_minima(n: int, maps, rows) -> list:
         tau[0], tau[k] = k, 0
         # the set bits of the mask, read off its binary digits low first
         allowed = (i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
-        out.append({i: least(tuple(tau[maps[i][v]] for v in tau)) for i in allowed})
+        out.append({i: least(tuple([tau[maps[i][v]] for v in tau])) for i in allowed})
     out[0] = {i: f for i, f in out[0].items() if f == maps[i]}
     return out
+
+
+def _not_below(least):
+    """not_below(k, first): the mask of the candidates i of row k >= 1
+    with least[k][i] >= first (``_first_row_minima``), one bisect over
+    the row's distinct minima, sorted once."""
+    ranks = [None]
+    for row in least[1:]:
+        at: dict = {}
+        for i, m in row.items():
+            at[m] = at.get(m, 0) | 1 << i
+        order = sorted(at)  # and masks[j], the candidates at the j greatest minima
+        masks = itertools.accumulate(map(at.get, reversed(order)), int.__or__, initial=0)
+        ranks.append((order, list(masks)))
+
+    def not_below(k, first):
+        order, masks = ranks[k]
+        return masks[len(order) - bisect.bisect_left(order, first)]
+
+    return not_below
 
 
 def _search_labeled(n: int, klass: str, first_rows: int = -1, canonical: bool = False,
@@ -304,10 +329,7 @@ def _search_labeled(n: int, klass: str, first_rows: int = -1, canonical: bool = 
         row_masks[0] &= sum(1 << i for i in least[0])  # the canonical first rows
         index = {f: i for i, f in enumerate(maps)}
         live = [()] * n  # live[k]: (q, p, i) after row k, rows 0..i-1 of p L q tied
-
-        @functools.cache  # once per row k >= 1 and placed first row
-        def not_below(k, first):
-            return sum(1 << i for i, m in least[k].items() if m >= first)
+        not_below = _not_below(least)
 
         # by_first[k]: every relabeling (q, p) with q(0) = k but the identity
         by_first = [[] for _ in span]
@@ -415,6 +437,7 @@ def enumerate_canonical(
         roots = list(least[0])  # the canonical first rows, dealt round-robin
         chunks = [sum(1 << i for i in roots[w::workers]) for w in range(min(workers, len(roots)))]
         survivors = []
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(functools.partial(_worker, n, klass, least), chunks):
                 survivors.extend(part)

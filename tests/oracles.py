@@ -120,6 +120,18 @@ def naive_canonical_form(t):
     return min(naive_relabel(t, p) for p in itertools.permutations(range(len(t))))
 
 
+def naive_first_row_minimum(f, k):
+    """The least first row p f q of a relabeled table whose row k is f,
+    over every q with q(0) = k and p = q^-1, walking all n! relabelings."""
+    n = len(f)
+    rows = []
+    for q in itertools.permutations(range(n)):
+        if q[0] == k:
+            p = [q.index(x) for x in range(n)]
+            rows.append(tuple(p[f[q[v]]] for v in range(n)))
+    return min(rows)
+
+
 def naive_semilattices(m):
     """The canonical forms of the semilattices on m points, sorted: every
     commutative idempotent table (one per choice of the entries above the

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import random
@@ -14,6 +15,7 @@ from oracles import (
     naive_automorphism_count,
     naive_canonical_form,
     naive_class_tables,
+    naive_first_row_minimum,
     naive_quasi_families,
     naive_question1,
     naive_question2,
@@ -34,6 +36,8 @@ from yaxl.enumeration import (
     _choices,
     _compat_masks,
     _compatible,
+    _first_row_minima,
+    _not_below,
     _orbits,
     _place,
     _rho_placements,
@@ -152,7 +156,8 @@ def test_worker_pool_is_bounded_by_the_chunks(monkeypatch):
             chunks.extend(items)
             return map(fn, items)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    # enumerate_canonical imports the pool only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     tables = enumerate_canonical(3, "shelf", workers=1000)
     # the roots are the first rows f that no relabeling fixing 0 makes
     # smaller, by index among all maps on 3 points
@@ -611,6 +616,29 @@ CANONICAL_COUNTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "n, klass",
+    [(n, k) for n in (1, 2, 3, 4) for k in CLASSES]
+    + [(5, k) for k in ("rack", "quandle", "quasi_quandle")],
+)
+def test_first_row_tables_match_the_oracle(n, klass):
+    # the least relabeled first row of each candidate of each row, and
+    # for each row k >= 1 and canonical first row the mask of the
+    # candidates whose least is not below it
+    maps, rows, _ = _candidates(n, klass)
+    expected = [
+        {i: naive_first_row_minimum(f, k) for i, f in enumerate(maps) if rows[k] >> i & 1}
+        for k in range(n)
+    ]
+    expected[0] = {i: m for i, m in expected[0].items() if m == maps[i]}
+    least = _first_row_minima(n, maps, rows)
+    assert least == expected
+    not_below = _not_below(least)
+    for first in expected[0].values():
+        for k in range(1, n):
+            assert not_below(k, first) == sum(1 << i for i, m in expected[k].items() if m >= first)
+
+
 @pytest.mark.parametrize("n, klass", sorted(CANONICAL_COUNTS))
 def test_pruned_counts(n, klass):
     tables = list(_search_labeled(n, klass, canonical=True))
@@ -649,6 +677,16 @@ def test_quandles_of_order_6():
 def test_racks_of_order_6():
     # the published count of racks of order 6
     assert len(enumerate_canonical(6, "rack", override=True)) == 353
+
+
+def test_quandles_of_order_7():
+    # OEIS A181769
+    assert len(enumerate_canonical(7, "quandle", override=True)) == 298
+
+
+def test_racks_of_order_7():
+    # OEIS A181771
+    assert len(enumerate_canonical(7, "rack", override=True)) == 2080
 
 
 def test_quasi_counts_of_order_5():

@@ -3,13 +3,16 @@ every private top-level function or class is read by some module, the
 row-placement engine and the translation-identity checks have only
 their two callers, a class's candidate rows have one builder, the sampled searches draw through one helper, a
 brace's lambda and the conjugation x^- y x are each built in one place,
-the command-line parsers are built in one place, and every theorem
-guarantee fails through ``fnmap.guarantee``."""
+the command-line parsers are built in one place, every theorem
+guarantee fails through ``fnmap.guarantee``, and the command line
+starts without the process pool."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from fixtures import run_python
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "yaxl").glob("*.py"))
 
@@ -247,3 +250,10 @@ def test_the_gate_flags_every_other_way_to_fail_a_guarantee():
 
 def test_every_guarantee_fails_through_fnmap_guarantee():
     assert guarantee_violations({path.stem: path.read_text() for path in SRC}) == []
+
+
+def test_the_command_line_starts_without_the_process_pool():
+    # the pool (and multiprocessing with it) is imported only by an
+    # enumeration with more than one worker, not by every command
+    done = run_python("-c", "import sys, yaxl.cli; print('concurrent.futures.process' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")
