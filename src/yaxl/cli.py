@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 a checked property is false, 2 bad input,
 ``python -O`` — should never happen.
 
 Artifacts written by a command carry a provenance record: the SHA-256 of
-the input file, the tool version, and the seed for randomized commands.
+the input file's bytes, the tool version, and the seed for randomized
+commands.
 For text formats it is a leading '#' comment (parsers skip those); for
 JSON it is a "_provenance" key (parsers ignore extra keys).
 """
@@ -21,27 +22,20 @@ from . import __version__
 from . import constructions, enumeration, fnmap, plonka, serialization, shelves, solutions, twists
 
 
-def _provenance(data: bytes, seed=None) -> dict:
-    p = {"input_sha256": hashlib.sha256(data).hexdigest(), "tool": f"yaxl {__version__}"}
+def _emit(args, payload: str, seed=None) -> None:
+    """Write an artifact to args.output (or stdout) with its provenance:
+    the SHA-256 of the input file's bytes (of no bytes for a command
+    that reads no file), the tool version, and the seed if one was drawn."""
+    provenance = {"input_sha256": hashlib.sha256(getattr(args, "text", "").encode()).hexdigest(),
+                  "tool": f"yaxl {__version__}"}
     if seed is not None:
-        p["seed"] = seed
-    return p
-
-
-def _read(path: str) -> str:
-    with open(path) as f:
-        return f.read()
-
-
-def _emit(args, payload: str, provenance: dict, text: bool) -> None:
-    """Write an artifact to args.output (or stdout) with its provenance."""
-    if text:
-        header = "# " + json.dumps(provenance) + "\n"
-        out = header + payload
+        provenance["seed"] = seed
+    if payload.startswith("{"):
+        # every JSON writer dumps a non-empty object, so the payload ends
+        # with the object's closing brace, and the record goes before it
+        out = payload[:-1] + ', "_provenance": ' + json.dumps(provenance) + "}\n"
     else:
-        obj = json.loads(payload)
-        obj["_provenance"] = provenance
-        out = json.dumps(obj) + "\n"
+        out = "# " + json.dumps(provenance) + "\n" + payload
     if args.output:
         with open(args.output, "w") as f:
             f.write(out)
@@ -49,10 +43,10 @@ def _emit(args, payload: str, provenance: dict, text: bool) -> None:
         sys.stdout.write(out)
 
 
-def _emit_as(args, kind: str, obj, provenance: dict) -> None:
+def _emit_as(args, kind: str, obj) -> None:
     """Write ``obj``, a ``kind`` ("magma" or "solution"), in args.format."""
     write = getattr(serialization, f"{kind}_to_{args.format}")
-    _emit(args, write(obj), provenance, text=args.format == "text")
+    _emit(args, write(obj))
 
 
 def _print_report(args, report: dict) -> None:
@@ -123,26 +117,25 @@ def _check_solution(s) -> dict:
 
 
 def cmd_check(args) -> int:
-    text = _read(args.path)
     if args.kind == "shelf":
-        report = _check_shelf(_load("magma", text))
+        report = _check_shelf(_load("magma", args.text))
         ok = report["left_shelf"]
     elif args.kind == "solution":
-        report = _check_solution(_load("solution", text))
+        report = _check_solution(_load("solution", args.text))
         ok = report["solution"]
     elif args.kind == "clifford":
-        table = _load("magma", text)
+        table = _load("magma", args.text)
         inverse = constructions.is_inverse_semigroup(table)
         ok = inverse and constructions.idempotents_commute(table)
         report = {"inverse_semigroup": inverse, "clifford": ok}
     elif args.kind == "weak-brace":
-        add, mul = serialization.weak_brace_tables(text)
+        add, mul = serialization.weak_brace_tables(args.text)
         report = constructions.weak_brace_validate(add, mul)
         if report["valid"]:
             report["dual"] = report["mul_inverse_semigroup"] and constructions.idempotents_commute(mul)
         ok = report["valid"]
     elif args.kind == "twist":
-        t = serialization.twist_from_json(text)
+        t = serialization.twist_from_json(args.text)
         report = {
             "twist_family": True,
             "g_twist": twists.is_g_twist(t),
@@ -150,7 +143,7 @@ def cmd_check(args) -> int:
         }
         ok = report["g_twist"]
     elif args.kind == "plonka":
-        report = plonka.sum_structure_check(serialization.plonka_from_json(text))
+        report = plonka.sum_structure_check(serialization.plonka_from_json(args.text))
         ok = True
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
@@ -202,27 +195,24 @@ def cmd_table1(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    text = _read(args.path)
-    table = _load("magma", text)
+    table = _load("magma", args.text)
     q = shelves.quasi_rack_structure(table)
     if q is None:
         print("input is not a quasi rack", file=sys.stderr)
         return 1
-    _emit_as(args, "solution", shelves.derived_map(q), _provenance(text.encode()))
+    _emit_as(args, "solution", shelves.derived_map(q))
     return 0
 
 
 def cmd_construct(args) -> int:
-    text = _read(args.path)
-    prov = _provenance(text.encode())
     if args.what == "plonka-sum":
-        p = serialization.plonka_from_json(text)
+        p = serialization.plonka_from_json(args.text)
         table = plonka.checked_sum(p).table
     elif args.what == "clifford":
-        sys_ = serialization.system_from_json(text)
+        sys_ = serialization.system_from_json(args.text)
         table = constructions.clifford_from_system(sys_).mul
     elif args.what in ("conjugation", "core", "deformed"):
-        c = constructions.clifford_table(_load("magma", text))
+        c = constructions.clifford_table(_load("magma", args.text))
         if args.what == "conjugation":
             table = constructions.conjugation_quasi_quandle(c)
         elif args.what == "core":
@@ -232,18 +222,17 @@ def cmd_construct(args) -> int:
                 raise ValueError("deformed construction requires --idempotent")
             table = constructions.deformed_quasi_rack(c, args.idempotent)
     elif args.what == "brace-solution":
-        b = serialization.weak_brace_from_json(text)
-        _emit_as(args, "solution", constructions.brace_solution(b), prov)
+        b = serialization.weak_brace_from_json(args.text)
+        _emit_as(args, "solution", constructions.brace_solution(b))
         return 0
     else:
         raise ValueError(f"unknown construction {args.what!r}")
-    _emit_as(args, "magma", table, prov)
+    _emit_as(args, "magma", table)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    text = _read(args.path)
-    q = shelves.quasi_rack_structure(_load("magma", text))
+    q = shelves.quasi_rack_structure(_load("magma", args.text))
     try:  # decides (*) and (***), and checks that the sum of p is q relabeled
         p = None if q is None else plonka.decompose(q)
     except ValueError:
@@ -251,23 +240,21 @@ def cmd_decompose(args) -> int:
     if p is None:
         print("decomposition requires a quasi rack with (*) and (***)", file=sys.stderr)
         return 1
-    _emit(args, serialization.plonka_to_json(p), _provenance(text.encode()), text=False)
+    _emit(args, serialization.plonka_to_json(p))
     return 0
 
 
 def cmd_twist(args) -> int:
-    text = _read(args.path)
-    prov = _provenance(text.encode())
     if args.extract:
-        s = _load("solution", text)
+        s = _load("solution", args.text)
         t = twists.twist_from_solution(s)
-        _emit(args, serialization.twist_to_json(t), prov, text=False)
+        _emit(args, serialization.twist_to_json(t))
         return 0
-    t = serialization.twist_from_json(text)
+    t = serialization.twist_from_json(args.text)
     if not twists.is_g_twist(t):
         print("twist family is not a g-twist", file=sys.stderr)
         return 1
-    _emit_as(args, "solution", twists.solution_from_twist(t), prov)
+    _emit_as(args, "solution", twists.solution_from_twist(t))
     return 0
 
 
@@ -275,7 +262,7 @@ def cmd_search(args) -> int:
     fn = enumeration.search_question1 if args.question == 1 else enumeration.search_question2
     report = fn(args.n, seed=args.seed, samples=args.samples)
     if args.output:
-        _emit(args, json.dumps(report), _provenance(b"", seed=report["seed"]), text=False)
+        _emit(args, json.dumps(report), seed=report["seed"])
     else:
         _print_report(args, report)
     return 0
@@ -350,8 +337,11 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
+        if "path" in args:  # the input, read once, as UTF-8 with its line ends kept
+            with open(args.path, "rb") as f:
+                args.text = f.read().decode()
         return args.fn(args)
-    except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as e:  # so are UnicodeDecodeError and json.JSONDecodeError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

@@ -243,7 +243,7 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
     for a, b in pairs:
         f, src, dst = sys.homs[(a, b)], sys.fibers[a], sys.fibers[b]
         if a == b and f != tuple(range(len(src))):
-            raise ValueError("phi[(a, a)] must be the identity")
+            raise ValueError(f"phi[{(a, b)}] must be the identity")
         if len(f) != len(src) or any(type(v) is not int or not 0 <= v < len(dst) for v in f):
             raise ValueError(f"phi[{(a, b)}] has the wrong shape")
         if not is_hom(f, src, dst):

@@ -8,7 +8,7 @@ layout:
 
   magma      {"n": ..., "table": [[...]]}
   solution   {"n": ..., "lambda": [[...]], "rho": [[...]]}
-  twist      {"shelf": <magma>, "phi": [[...], ...]}
+  twist      {"shelf": [[...]], "phi": [[...], ...]}
   system     {"semilattice": {"m": ..., "meet": [[...]]},
               "groups": [<Cayley>, ...],
               "homs": [{"from": a, "to": b, "map": [...]}, ...]}
@@ -74,7 +74,10 @@ def _parse_size(lines, numbers) -> int:
 def json_object(text: str, *keys: str) -> dict:
     """Parse a JSON text whose top level must be an object holding every
     one of ``keys``."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
     if not isinstance(data, dict):
         raise ValueError("top-level JSON value is not an object")
     for k in keys:

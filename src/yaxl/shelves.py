@@ -21,19 +21,21 @@ Magma = tuple
 
 def validate_table(table) -> Magma:
     """Normalize to a tuple-of-tuples table and check that every entry
-    is an int (not a bool) in the carrier range."""
-    try:
-        n = len(table)
-        rows = tuple(tuple(row) for row in table)
-    except TypeError:
-        raise ValueError("operation table must be a list of rows") from None
-    for row in rows:
+    is an int (not a bool) in the carrier range.  The table and each row
+    must be a list or a tuple: a dict or a string is refused, not read
+    by its keys or characters."""
+    if not isinstance(table, (list, tuple)):
+        raise ValueError("operation table must be a list of rows")
+    n = len(table)
+    for row in table:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError("operation table must be a list of rows")
         if len(row) != n:
             raise ValueError("operation table must be square")
         for v in row:
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError("table entry is not an integer in the carrier range")
-    return rows
+    return tuple(map(tuple, table))
 
 
 def is_left_shelf(table: Magma) -> bool:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 
@@ -14,7 +15,7 @@ from fixtures import (
     trivial_quandle,
     two_chain_clifford,
 )
-from yaxl import constructions, shelves, solutions
+from yaxl import __version__, constructions, enumeration, plonka, shelves, solutions, twists
 from yaxl.cli import _check_shelf, build_parser, main
 from yaxl.constructions import SemilatticeSystem, cyclic_group, semilattice_sum, trivial_brace
 from yaxl.enumeration import quasi_rack_profile
@@ -22,10 +23,13 @@ from yaxl.fnmap import identity
 from yaxl.plonka import PlonkaSystem
 from yaxl.serialization import (
     magma_from_text,
+    magma_to_json,
     magma_to_text,
     plonka_from_json,
     plonka_to_json,
     solution_from_text,
+    solution_to_json,
+    solution_to_text,
     system_to_json,
     twist_to_json,
     weak_brace_to_json,
@@ -136,8 +140,6 @@ def test_check_bad_input(tmp_path, capsys):
 
 def test_check_solution(tmp_path, capsys):
     s = derived_map(quasi_rack_structure(dihedral_quandle(3)))
-    from yaxl.serialization import solution_to_text
-
     path = write(tmp_path, "s.txt", solution_to_text(s))
     assert main(["check", "solution", path]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -147,8 +149,6 @@ def test_check_solution(tmp_path, capsys):
 
 
 def test_check_solution_decides_the_braid_identity_once(tmp_path, monkeypatch, capsys):
-    from yaxl.serialization import solution_to_text
-
     s = derived_map(quasi_rack_structure(dihedral_quandle(3)))
     path = write(tmp_path, "s.txt", solution_to_text(s))
     calls = count_calls(monkeypatch, solutions.is_solution)
@@ -160,8 +160,6 @@ def test_check_solution_decides_the_braid_identity_once(tmp_path, monkeypatch, c
 
 
 def test_check_solution_whose_relative_inverse_is_not_a_solution(tmp_path, capsys):
-    from yaxl.serialization import solution_to_text
-
     path = write(tmp_path, "r.txt", solution_to_text(INVERSE_NOT_A_SOLUTION))
     assert main(["check", "solution", path]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -444,6 +442,99 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, content):
     _assert_one_line_error(capsys)
 
 
+_DEEP = '{"n": 1, "table": ' + "[" * 10**5 + "]" * 10**5 + "}"
+
+
+@pytest.mark.parametrize("command", [["check", "shelf"], ["check", "plonka"]])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    # json.loads gives up on the nesting with a RecursionError, which is
+    # refused as bad input, not let out as a traceback
+    assert main(command + [write(tmp_path, "deep.json", _DEEP)]) == 2
+    assert capsys.readouterr() == ("", "error: JSON nesting is too deep\n")
+
+
+@pytest.mark.parametrize("command, content", [
+    # the twist's shelf is a table, not a magma object (whose keys were
+    # read as its rows), and a row is a list, not a string of digits
+    (["check", "twist"], '{"shelf": {"n": 2, "table": [[0, 1], [0, 1]]}, "phi": [[0, 1], [0, 1]]}'),
+    (["check", "shelf"], '{"n": 2, "table": ["01", "01"]}'),
+], ids=["magma-object-shelf", "string-rows"])
+def test_a_table_is_a_list_of_rows(tmp_path, capsys, command, content):
+    assert main(command + [write(tmp_path, "in.json", content)]) == 2
+    assert capsys.readouterr() == ("", "error: operation table must be a list of rows\n")
+
+
+def test_a_gluing_self_map_that_is_not_the_identity_is_named(tmp_path, capsys):
+    # the two-point chain over the one-point rack and the 2-point trivial
+    # quandle, whose map from the top point to itself is the swap
+    content = ('{"semilattice": {"m": 2, "meet": [[0, 0], [0, 1]]}, "fibers": [[[0]], [[0, 1], [0, 1]]], '
+               '"homs": [{"from": 0, "to": 0, "map": [0]}, {"from": 1, "to": 1, "map": [1, 0]}, '
+               '{"from": 1, "to": 0, "map": [0, 0]}]}')
+    assert main(["check", "plonka", write(tmp_path, "p.json", content)]) == 2
+    assert capsys.readouterr() == ("", "error: phi[(1, 1)] must be the identity\n")
+
+
+def test_provenance_hashes_the_input_files_bytes(tmp_path, capsys):
+    # CRLF line ends are kept in the recorded hash, and the parsers read
+    # the file as they read its LF copy
+    crlf, lf = tmp_path / "crlf.txt", tmp_path / "lf.txt"
+    crlf.write_bytes(b"2\r\n0 1\r\n0 1\r\n")
+    lf.write_bytes(b"2\n0 1\n0 1\n")
+    artifacts = []
+    for path in (crlf, lf):
+        assert main(["derive", str(path), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data.pop("_provenance")["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        artifacts.append(data)
+    assert artifacts[0] == artifacts[1]
+
+
+def _artifact_cases():
+    """(argv without its input path, the input file's text, the writer's
+    text, the seed recorded) for each command that writes a JSON artifact."""
+    d3 = dihedral_quandle(3)
+    q = quasi_rack_structure(d3)
+    c = two_chain_clifford()
+    p = PlonkaSystem(((0, 0), (0, 1)), (trivial_quandle(1), dihedral_quandle(3)),
+                     {(0, 0): (0,), (1, 1): (0, 1, 2), (1, 0): (0, 0, 0)})
+    s = derived_map(q)
+    b = trivial_brace(c)
+    sampled = ["search", "--question", "2", "--n", "4", "--seed", "5", "--samples", "20"]
+    return {
+        "derive": (["derive", "--format", "json"], magma_to_text(d3), solution_to_json(s), None),
+        "construct-conjugation": (["construct", "conjugation", "--format", "json"], magma_to_text(c.mul),
+                                  magma_to_json(constructions.conjugation_quasi_quandle(c)), None),
+        "construct-plonka-sum": (["construct", "plonka-sum", "--format", "json"], plonka_to_json(p),
+                                 magma_to_json(plonka.checked_sum(p).table), None),
+        "construct-brace-solution": (["construct", "brace-solution", "--format", "json"], weak_brace_to_json(b),
+                                     solution_to_json(constructions.brace_solution(b)), None),
+        "decompose": (["decompose"], magma_to_text(d3), plonka_to_json(plonka.decompose(q)), None),
+        "twist-extract": (["twist", "--extract"], solution_to_text(s),
+                          twist_to_json(twists.twist_from_solution(s)), None),
+        "search-exhaustive": (["search", "--question", "1", "--n", "2"], None,
+                              json.dumps(enumeration.search_question1(2)), None),
+        "search-sampled": (sampled, None, json.dumps(enumeration.search_question2(4, seed=5, samples=20)), 5),
+    }
+
+
+_ARTIFACT_CASES = _artifact_cases()
+
+
+@pytest.mark.parametrize("case", list(_ARTIFACT_CASES))
+def test_a_json_artifact_is_the_writers_text_with_provenance_last(tmp_path, case):
+    argv, text, written, seed = _ARTIFACT_CASES[case]
+    data = b"" if text is None else text.encode()
+    provenance = {"input_sha256": hashlib.sha256(data).hexdigest(), "tool": f"yaxl {__version__}"}
+    if seed is not None:
+        provenance["seed"] = seed
+    if text is not None:
+        argv = argv + [write(tmp_path, "in.txt", text)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["-o", str(out)]) == 0
+    # every key of the writer's object in its order, then the record
+    assert out.read_text() == json.dumps({**json.loads(written), "_provenance": provenance}) + "\n"
+
+
 @pytest.mark.parametrize("command, key", [(["check", "plonka"], "fibers"),
                                           (["construct", "plonka-sum"], "fibers"),
                                           (["construct", "clifford"], "groups")],
@@ -704,8 +795,6 @@ def test_twist_apply_and_extract(tmp_path, capsys):
     assert main(["twist", tpath, "-o", spath]) == 0
     s = solution_from_text(open(spath).read())
     xpath = str(tmp_path / "x.json")
-    from yaxl.serialization import solution_to_text
-
     spath2 = write(tmp_path, "s2.txt", solution_to_text(s))
     assert main(["twist", "--extract", spath2, "-o", xpath]) == 0
     data = json.loads(open(xpath).read())

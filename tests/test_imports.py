@@ -3,7 +3,8 @@ every private top-level function or class is read by some module, the
 row-placement engine and the translation-identity checks have only
 their two callers, a class's candidate rows have one builder, the sampled searches draw through one helper, a
 brace's lambda and the conjugation x^- y x are each built in one place,
-the command-line parsers are built in one place, every theorem
+the command-line parsers are built in one place, JSON is parsed in one
+place and files are opened only by the command line, every theorem
 guarantee fails through ``fnmap.guarantee``, and the command line
 starts without the process pool."""
 
@@ -148,6 +149,14 @@ def test_one_builder_adds_every_parser_and_argument():
     sources = [path.read_text() for path in SRC]
     assert placement_callers(sources, "add_parser") == ["build_parser"]
     assert placement_callers(sources, "add_argument") == ["build_parser", "build_parser"]
+
+
+def test_json_is_parsed_in_one_place_and_files_are_opened_in_two():
+    # every JSON input is parsed by json_object; the command line reads
+    # its input once in main and writes every artifact through _emit
+    sources = [path.read_text() for path in SRC]
+    assert placement_callers(sources, "loads") == ["json_object"]
+    assert placement_callers(sources, "open") == ["_emit", "main"]
 
 
 # the methods of random.Random that draw an index or a sample of their own
