@@ -26,7 +26,7 @@ def _emit(args, payload: str, seed=None) -> None:
     """Write an artifact to args.output (or stdout) with its provenance:
     the SHA-256 of the input file's bytes (of no bytes for a command
     that reads no file), the tool version, and the seed if one was drawn."""
-    provenance = {"input_sha256": hashlib.sha256(getattr(args, "text", "").encode()).hexdigest(),
+    provenance = {"input_sha256": hashlib.sha256(getattr(args, "data", b"")).hexdigest(),
                   "tool": f"yaxl {__version__}"}
     if seed is not None:
         provenance["seed"] = seed
@@ -337,9 +337,12 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        if "path" in args:  # the input, read once, as UTF-8 with its line ends kept
+        if "path" in args:
+            # the input, read once; its text is UTF-8 with the line ends
+            # kept and one leading byte-order mark dropped
             with open(args.path, "rb") as f:
-                args.text = f.read().decode()
+                args.data = f.read()
+            args.text = args.data.decode().removeprefix("\ufeff")
         return args.fn(args)
     except (OSError, ValueError) as e:  # so are UnicodeDecodeError and json.JSONDecodeError
         print(f"error: {e}", file=sys.stderr)

@@ -207,8 +207,12 @@ class SemilatticeSystem:
 
 
 def _gluing_composes(meet: Magma, homs: dict) -> bool:
-    """homs[(b, c)] o homs[(a, b)] == homs[(a, c)] for all a >= b >= c."""
-    below = [[b for b, ab in enumerate(row) if ab == b] for row in meet]
+    """homs[(b, c)] o homs[(a, b)] == homs[(a, c)] for all a > b > c.
+
+    A triple with a == b or b == c holds whenever homs[(a, a)] is the
+    identity on its fiber, which the callers ensure.
+    """
+    below = [[b for b, ab in enumerate(row) if ab == b and b != a] for a, row in enumerate(meet)]
     # fibers differ in size, so compose by hand
     return all(
         tuple([homs[(b, c)][v] for v in homs[(a, b)]]) == homs[(a, c)]
@@ -219,9 +223,12 @@ def _gluing_composes(meet: Magma, homs: dict) -> bool:
 
 
 def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
-    """Raise ValueError unless every fiber is non-empty and passes
-    ``fiber_ok`` (``is_group`` for a Clifford semigroup, ``is_rack`` for
-    a Plonka sum) and the gluing maps are homomorphisms that compose."""
+    """Raise ValueError unless the semilattice has a point, every fiber
+    is non-empty and passes ``fiber_ok`` (``is_group`` for a Clifford
+    semigroup, ``is_rack`` for a Plonka sum) and the gluing maps are
+    homomorphisms that compose."""
+    if not sys.meet:  # the sum would be an empty table
+        raise ValueError("semilattice has no points")
     if not is_semilattice(sys.meet):
         raise ValueError("meet table is not a semilattice")
     if len(sys.fibers) != sys.points:
@@ -246,7 +253,7 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
             raise ValueError(f"phi[{(a, b)}] must be the identity")
         if len(f) != len(src) or any(type(v) is not int or not 0 <= v < len(dst) for v in f):
             raise ValueError(f"phi[{(a, b)}] has the wrong shape")
-        if not is_hom(f, src, dst):
+        if a != b and not is_hom(f, src, dst):  # an (a, a) map is the identity, a homomorphism
             raise ValueError(f"phi[{(a, b)}] is not a homomorphism")
     if not _gluing_composes(sys.meet, sys.homs):
         raise ValueError("gluing homomorphisms do not compose")

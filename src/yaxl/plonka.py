@@ -103,6 +103,8 @@ def _split(q: QuasiRack) -> tuple:
     """
     if not (check_star(q) and check_starstarstar(q)):
         raise ValueError("decomposition requires (*) and (***)")
+    if not q.n:  # a Plonka system has a semilattice point
+        raise ValueError("decomposition requires a non-empty quasi rack")
     index: dict = {}  # the distinct L^0, in first-appearance order
     cls = [index.setdefault(z, len(index)) for z in q.L_zero]
     zeros = list(index)

@@ -42,10 +42,24 @@ def is_left_shelf(table: Magma) -> bool:
     """x |> (y |> z) == (x |> y) |> (x |> z) for all triples.
 
     Checked in row form: L_x L_y == L_{x |> y} L_x, for one x and all y at
-    once; the left side gathers the flattened table through row x in C.
+    once.  The table must be valid (``validate_table``): on up to 256
+    points each row is a byte string, and both sides are gathered in C by
+    ``bytes.translate``, which would read an entry of n or more as 0.
     """
-    if len(table) <= 1:  # a shelf; itemgetter of one index returns a scalar
-        return True
+    if len(table) > 256:  # an entry does not fit in a byte
+        return _is_left_shelf_by_index(table)
+    short = [bytes(row) for row in table]
+    rows = [row.ljust(256, b"\0") for row in short]  # L_x as a translation table
+    flat = b"".join(short)
+    for row_x, L_x in zip(short, rows):
+        if flat.translate(L_x) != b"".join([row_x.translate(rows[t]) for t in row_x]):
+            return False
+    return True
+
+
+def _is_left_shelf_by_index(table: Magma) -> bool:
+    """``is_left_shelf`` for any carrier: the left side gathers the
+    flattened table through row x by itemgetter."""
     through = itemgetter(*[v for row in table for v in row])
     for row_x in table:
         if list(through(row_x)) != [table[t][v] for t in row_x for v in row_x]:

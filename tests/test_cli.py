@@ -489,6 +489,30 @@ def test_provenance_hashes_the_input_files_bytes(tmp_path, capsys):
     assert artifacts[0] == artifacts[1]
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("content", [b"1\n0\n", b'{"n": 1, "table": [[0]]}'])
+def test_a_byte_order_mark_is_dropped_before_parsing(tmp_path, capsys, content):
+    reports = []
+    for name, data in (("plain", content), ("bom", _BOM + content)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["check", "shelf", str(path)]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[1] == reports[0]
+
+
+def test_provenance_hashes_a_byte_order_mark(tmp_path, capsys):
+    p = PlonkaSystem(((0,),), (trivial_quandle(2),), {(0, 0): (0, 1)})
+    path = tmp_path / "bom.json"
+    path.write_bytes(_BOM + plonka_to_json(p).encode())
+    assert main(["construct", "plonka-sum", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data.pop("_provenance")["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert data == json.loads(magma_to_json(trivial_quandle(2)))
+
+
 def _artifact_cases():
     """(argv without its input path, the input file's text, the writer's
     text, the seed recorded) for each command that writes a JSON artifact."""
@@ -610,6 +634,20 @@ def test_system_refusals_end_with_one_message(tmp_path, capsys, command, message
     path = write(tmp_path, "sys.json", write_system(_SYSTEM_REFUSALS[message]))
     assert main(command + [path]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["check", "plonka"], ["construct", "plonka-sum"], ["construct", "clifford"]])
+def test_a_system_with_no_semilattice_points_is_refused(tmp_path, capsys, command):
+    write_system = system_to_json if command[-1] == "clifford" else plonka_to_json
+    path = write(tmp_path, "sys.json", write_system(SemilatticeSystem((), (), {})))
+    assert main(command + [path]) == 2
+    assert capsys.readouterr() == ("", "error: semilattice has no points\n")
+
+
+def test_the_empty_quasi_rack_has_no_decomposition(tmp_path, capsys):
+    # a Plonka system needs a semilattice point, so this is not exit 3
+    assert main(["decompose", write(tmp_path, "empty.txt", "0\n")]) == 1
+    assert capsys.readouterr() == ("", "decomposition requires a quasi rack with (*) and (***)\n")
 
 
 # Every command that reads a JSON file, as the argument list before the path.

@@ -47,6 +47,7 @@ from yaxl.shelves import (
     check_starstarstar,
     homomorphisms,
     is_quasi_quandle,
+    is_rack,
     quasi_rack_structure,
 )
 from yaxl.serialization import system_to_json
@@ -156,6 +157,35 @@ def test_validate_system_errors():
     bad2[(1, 0)] = (1, 1)  # not a homomorphism (sends identity to 1)
     with pytest.raises(ValueError):
         validate_system(SemilatticeSystem(meet, (z2, z2), bad2), is_group)
+
+
+_T2 = ((0, 1), (0, 1))  # x |> y = y
+_SWAP = ((1, 0), (1, 0))  # x |> y = the other point; only constants map it into _T2
+_SHAPES = {
+    "V": ((0, 0, 0), (0, 1, 0), (0, 0, 2)),
+    "3-chain": tuple(tuple(min(a, b) for b in range(3)) for a in range(3)),
+}
+
+
+def _refused(shape, maps, fibers=(_T2,) * 3):
+    """The message validate_system raises on the rack system of ``shape``
+    glued by identities, except for ``maps``."""
+    meet = _SHAPES[shape]
+    homs = {(a, b): (0, 1) for a in range(3) for b in range(3) if semilattice_geq(meet, a, b)}
+    homs.update(maps)
+    with pytest.raises(ValueError) as e:
+        validate_system(SemilatticeSystem(meet, fibers, homs), is_rack)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_validate_system_checks_every_map_in_order(shape):
+    # (False, True) == (0, 1), so only the shape check refuses it
+    assert _refused(shape, {(1, 1): (False, True)}) == "phi[(1, 1)] has the wrong shape"
+    assert _refused(shape, {(1, 1): (1, 0)}) == "phi[(1, 1)] must be the identity"
+    assert _refused(shape, {}, (_T2, _SWAP, _T2)) == "phi[(1, 0)] is not a homomorphism"
+    if shape == "3-chain":
+        assert _refused(shape, {(2, 0): (1, 0)}) == "gluing homomorphisms do not compose"
 
 
 # clifford_from_system with a semilattice_sum that reverses the rows of the

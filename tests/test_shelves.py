@@ -7,6 +7,7 @@ from fixtures import (
     DS_NO_CONDITIONS,
     SSS_NOT_STAR,
     STAR_NOT_STARSTAR,
+    count_calls,
     dihedral_quandle,
     trivial_quandle,
 )
@@ -18,6 +19,7 @@ from oracles import (
     naive_is_quasi_rack,
     rack_homs,
 )
+from yaxl import shelves
 from yaxl.fnmap import compose, identity
 from yaxl.shelves import (
     are_isomorphic,
@@ -228,7 +230,6 @@ def test_quasi_structure_transports(table, perm):
 
 
 def test_is_left_shelf_matches_oracle_on_every_table_n0_to_2():
-    # carriers of at most one point are decided without gathering
     for n in range(3):
         rows = list(itertools.product(range(n), repeat=n))
         tables = list(itertools.product(rows, repeat=n))
@@ -249,9 +250,9 @@ def test_kernels_match_oracles_on_every_table_n3():
 
 
 @st.composite
-def tables_4_to_6(draw):
+def tables_of_size(draw, low, high):
     """Random tables, and known shelves with at most one cell changed."""
-    n = draw(st.integers(4, 6))
+    n = draw(st.integers(low, high))
     if draw(st.booleans()):
         return tuple(draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=n, max_size=n)))
     base = draw(st.sampled_from([dihedral_quandle(n), trivial_quandle(n), tuple((0,) * n for _ in range(n))]))
@@ -261,9 +262,27 @@ def tables_4_to_6(draw):
     return tuple(tuple(row) for row in rows)
 
 
-@given(tables_4_to_6())
+@given(tables_of_size(4, 6))
 def test_is_left_shelf_matches_oracle_n4_to_6(table):
     assert is_left_shelf(table) == is_self_distributive(table)
+
+
+@given(tables_of_size(7, 9))
+def test_is_left_shelf_matches_oracle_n7_to_9(table):
+    assert is_left_shelf(table) == is_self_distributive(table)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_is_left_shelf_matches_oracle_at_the_byte_bound(monkeypatch, n):
+    # 256 points hold entry 255 in bytes; 257 points go by index
+    calls = count_calls(monkeypatch, shelves._is_left_shelf_by_index)
+    d = dihedral_quandle(n)
+    assert max(d[0]) == n - 1
+    changed = [list(row) for row in d]
+    changed[1][2] = 1
+    for table, verdict in ((d, True), (tuple(map(tuple, changed)), False)):
+        assert is_left_shelf(table) == is_self_distributive(table) == verdict
+    assert calls["_is_left_shelf_by_index"] == (2 if n > 256 else 0)
 
 
 def test_homomorphisms_match_the_naive_filter():
