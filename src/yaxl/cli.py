@@ -233,12 +233,15 @@ def cmd_construct(args) -> int:
 
 def cmd_decompose(args) -> int:
     q = shelves.quasi_rack_structure(_load("magma", args.text))
+    reason = "decomposition requires a quasi rack with (*) and (***)"
     try:  # decides (*) and (***), and checks that the sum of p is q relabeled
         p = None if q is None else plonka.decompose(q)
-    except ValueError:
+    except ValueError as e:
         p = None
+        if not q.n:  # (*) and (***) hold vacuously: the reason is that q is empty
+            reason = str(e)
     if p is None:
-        print("decomposition requires a quasi rack with (*) and (***)", file=sys.stderr)
+        print(reason, file=sys.stderr)
         return 1
     _emit(args, serialization.plonka_to_json(p))
     return 0

@@ -16,12 +16,21 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .fnmap import FnMap, compose, guarantee, regular_family, relative_inverse
+from .fnmap import (
+    FnMap,
+    compose,
+    guarantee,
+    idempotents_central,
+    is_idempotent,
+    regular_family,
+    relative_inverse,
+)
 from .shelves import (
     Magma,
     canonical_form,
     homomorphisms,
     is_hom,
+    is_left_shelf,
     is_quasi_quandle,
     is_rack,
     quasi_rack_structure,
@@ -213,9 +222,9 @@ def _gluing_composes(meet: Magma, homs: dict) -> bool:
     identity on its fiber, which the callers ensure.
     """
     below = [[b for b, ab in enumerate(row) if ab == b and b != a] for a, row in enumerate(meet)]
-    # fibers differ in size, so compose by hand
+    # fibers differ in size, so compose by hand; compare by value, as a map may be a list
     return all(
-        tuple([homs[(b, c)][v] for v in homs[(a, b)]]) == homs[(a, c)]
+        tuple([homs[(b, c)][v] for v in homs[(a, b)]]) == tuple(homs[(a, c)])
         for a in range(len(meet))
         for b in below[a]
         for c in below[b]
@@ -249,7 +258,7 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
         raise ValueError(f"phi[{extra}] is not a pair a >= b of the semilattice")
     for a, b in pairs:
         f, src, dst = sys.homs[(a, b)], sys.fibers[a], sys.fibers[b]
-        if a == b and f != tuple(range(len(src))):
+        if a == b and f != tuple(range(len(src))) and f != list(range(len(src))):  # f may be a list
             raise ValueError(f"phi[{(a, b)}] must be the identity")
         if len(f) != len(src) or any(type(v) is not int or not 0 <= v < len(dst) for v in f):
             raise ValueError(f"phi[{(a, b)}] has the wrong shape")
@@ -364,7 +373,7 @@ def constant_shelf(n: int, f: FnMap) -> Magma:
     """x |> y := f(y) with f idempotent; always a quasi rack."""
     if len(f) != n or any(type(v) is not int or not 0 <= v < n for v in f):
         raise ValueError(f"map {f} is not a map on {n} points")
-    if compose(f, f) != f:
+    if not is_idempotent(f):
         raise ValueError("map must be idempotent")
     table = tuple(tuple(f) for _ in range(n))
     guarantee(quasi_rack_structure(table) is not None, "a constant shelf is not a quasi rack")
@@ -381,7 +390,10 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
     ``alpha[i][j][s]`` is a transformation of the fiber carrier.  The
     base must be a rack, each alpha[i][j][s] a map on S, and the three
     admissibility conditions are validated individually; the element
-    (i, s) is encoded as i * s_size + s.
+    (i, s) is encoded as i * s_size + s.  Over a rack:
+
+    condition 2 holds iff the extension is a left shelf;
+    condition 3 holds iff each Z_(i,s): (j, t) -> (j, alpha[i][j][s]^0(t)) commutes with every L_(j,t).
     """
     rack = validate_table(rack)
     if not is_rack(rack):
@@ -405,40 +417,17 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
                         f"condition 1 fails: alpha[{i}][{j}]({s}) has no relative inverse"
                     )
                 zeros[(i, j, s)] = triple.zero
-    for i in rng_x:
-        for j in rng_x:
-            for k in rng_x:
-                for s in rng_s:
-                    for t in rng_s:
-                        lhs = compose(alpha[i][rack[j][k]][s], alpha[j][k][t])
-                        rhs = compose(
-                            alpha[rack[i][j]][rack[i][k]][alpha[i][j][s][t]],
-                            alpha[i][k][s],
-                        )
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"condition 2 fails at i={i} j={j} k={k} s={s} t={t}"
-                            )
-    for i in rng_x:
-        for j in rng_x:
-            for k in rng_x:
-                for s in rng_s:
-                    for t in rng_s:
-                        for u in rng_s:
-                            lhs = alpha[j][k][t][zeros[(i, k, s)][u]]
-                            rhs = zeros[(i, rack[j][k], s)][alpha[j][k][t][u]]
-                            if lhs != rhs:
-                                raise ValueError(
-                                    f"condition 3 fails at i={i} j={j} k={k} s={s} t={t} u={u}"
-                                )
     table = tuple(
         tuple(rack[i][j] * s_size + v for j in rng_x for v in alpha[i][j][s]) for i in rng_x for s in rng_s
     )
+    z = tuple(tuple(j * s_size + v for j in rng_x for v in zeros[(i, j, s)]) for i in rng_x for s in rng_s)
+    if not is_left_shelf(table):
+        raise ValueError("condition 2 fails: the extension is not a left shelf")
+    if not idempotents_central(z, table):
+        raise ValueError("condition 3 fails: some Z_(i,s) does not commute with every translation")
     q = quasi_rack_structure(table)
     guarantee(q is not None, "a cocycle extension of a rack is not a quasi rack")
-    zeros_ok = all(q.L_zero[i * s_size + s][j * s_size + t] == j * s_size + zeros[(i, j, s)][t]
-                   for i in rng_x for s in rng_s for j in rng_x for t in rng_s)
-    guarantee(zeros_ok, "L^0_(i,s) of a cocycle extension is not (j, t) -> (j, alpha[i][j][s]^0(t))")
+    guarantee(q.L_zero == z, "L^0_(i,s) of a cocycle extension is not (j, t) -> (j, alpha[i][j][s]^0(t))")
     return table
 
 

@@ -304,18 +304,17 @@ def _not_below(least):
 
 
 def _search_labeled(n: int, klass: str, first_rows: int = -1, canonical: bool = False,
-                    least=None, shelf: bool = True):
+                    shelf: bool = True):
     """Yield every labeled table of the class, depth-first.
 
     Row 0 takes only the candidates in the mask ``first_rows`` (used to
     split the tree across workers).  With ``canonical``, only the tables
-    that no relabeling makes smaller are yielded, in the same order;
-    ``least`` passes the class's ``_first_row_minima`` when the caller
-    has them already.  With ``shelf=False`` the self-distributivity
-    checks are off: a quasi class then yields every family of completely
-    regular maps whose idempotents commute with every member (the lambda
-    families of the open-question searches), with ``canonical`` one per
-    simultaneous relabeling class.
+    that no relabeling makes smaller are yielded, in the same order.
+    With ``shelf=False`` the self-distributivity checks are off: a quasi
+    class then yields every family of completely regular maps whose
+    idempotents commute with every member (the lambda families of the
+    open-question searches), with ``canonical`` one per simultaneous
+    relabeling class.
     """
     maps, row_masks, zeros = _candidates(n, klass)
     row_masks[0] &= first_rows
@@ -324,8 +323,7 @@ def _search_labeled(n: int, klass: str, first_rows: int = -1, canonical: bool = 
     compat = None if zeros is None else _compat_masks(zeros, at)
 
     if canonical:
-        if least is None:
-            least = _first_row_minima(n, maps, row_masks)
+        least = _first_row_minima(n, maps, row_masks)
         row_masks[0] &= sum(1 << i for i in least[0])  # the canonical first rows
         index = {f: i for i, f in enumerate(maps)}
         live = [()] * n  # live[k]: (q, p, i) after row k, rows 0..i-1 of p L q tied
@@ -407,8 +405,8 @@ def _searched_quasi_racks(tables):
         yield QuasiRack(table, tuple(t.inv for t in row_triples), tuple(t.zero for t in row_triples))
 
 
-def _worker(n: int, klass: str, least, chunk: int) -> list:
-    return list(_search_labeled(n, klass, chunk, canonical=True, least=least))
+def _worker(n: int, klass: str, chunk: int) -> list:
+    return list(_search_labeled(n, klass, chunk, canonical=True))
 
 
 def enumerate_canonical(
@@ -432,14 +430,14 @@ def enumerate_canonical(
         survivors = list(_search_labeled(n, klass, canonical=True))
     else:
         maps, rows, _ = _candidates(n, klass)
-        # computed once for every row, and handed to each worker
-        least = _first_row_minima(n, maps, rows)
-        roots = list(least[0])  # the canonical first rows, dealt round-robin
+        # the canonical first rows, dealt round-robin; each worker builds
+        # the other rows' minima itself
+        roots = list(_first_row_minima(n, maps, rows[:1])[0])
         chunks = [sum(1 << i for i in roots[w::workers]) for w in range(min(workers, len(roots)))]
         survivors = []
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(functools.partial(_worker, n, klass, least), chunks):
+            for part in pool.map(functools.partial(_worker, n, klass), chunks):
                 survivors.extend(part)
     if filters:
         survivors = [q.table for q in _searched_quasi_racks(survivors)

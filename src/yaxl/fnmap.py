@@ -67,7 +67,8 @@ def image(f: FnMap) -> frozenset:
 
 
 def is_idempotent(f: FnMap) -> bool:
-    return compose(f, f) == f
+    """f o f == f, compared by value: a list map is decided like the equal tuple."""
+    return compose(f, f) == tuple(f)
 
 
 def is_permutation(f: FnMap) -> bool:
@@ -75,12 +76,8 @@ def is_permutation(f: FnMap) -> bool:
 
 
 def is_completely_regular(f: FnMap) -> bool:
-    """True iff f restricted to image(f) is a bijection of image(f).
-
-    Equivalent to |im(f)| == |im(f o f)|.
-    """
-    im = set(f)
-    return len({f[x] for x in im}) == len(im)
+    """True iff f has a relative inverse, that is, f permutes image(f)."""
+    return relative_inverse(f) is not None
 
 
 def relative_inverse(f: FnMap) -> Optional[RegularTriple]:

@@ -299,6 +299,7 @@ def lyubashenko(f: FnMap, g: FnMap) -> Solution:
     for name, m in (("f", f), ("g", g)):
         if len(m) != n or any(type(v) is not int or not 0 <= v < n for v in m):
             raise ValueError(f"map {name} = {m} is not a map on {n} points")
+    f, g = tuple(f), tuple(g)  # a list map gives the same solution as the equal tuple
     if not commutes(f, g):
         raise ValueError("maps must commute")
     tf = relative_inverse(f)

@@ -6,6 +6,7 @@ exception is the pair of sampling loops at the end, which reuse the
 library's checks to pin the random stream of the sampled searches.
 """
 
+import functools
 import itertools
 import random
 
@@ -194,6 +195,42 @@ def naive_is_completely_regular(f):
     """f maps its image onto itself bijectively."""
     im = set(f)
     return {f[x] for x in im} == im
+
+
+def naive_cocycle_verdict(rack, s_size, alpha):
+    """The first of the three admissibility conditions of a rack cocycle
+    that fails (1, 2 or 3), each decided pointwise in the form the paper
+    states it, or the extension table, (i, s) encoded as i * s_size + s:
+
+    1. every alpha_ij(s) has a relative inverse, alpha_ij(s)^0 = alpha_ij(s) alpha_ij(s)^-;
+    2. alpha_{i, j|>k}(s) alpha_jk(t) = alpha_{i|>j, i|>k}(alpha_ij(s)(t)) alpha_ik(s);
+    3. alpha_jk(t)(alpha^0_ik(s)(u)) = alpha^0_{i, j|>k}(s)(alpha_jk(t)(u)).
+    """
+    rng_x, rng_s = range(len(rack)), range(s_size)
+    zeros = {}
+    for i, j, s in itertools.product(rng_x, rng_x, rng_s):
+        inverses = _brute_relative_inverses_of(alpha[i][j][s])
+        if not inverses:
+            return 1
+        zeros[i, j, s] = comp(alpha[i][j][s], inverses[0])
+    for i, j, k, s, t in itertools.product(rng_x, rng_x, rng_x, rng_s, rng_s):
+        lhs = comp(alpha[i][rack[j][k]][s], alpha[j][k][t])
+        rhs = comp(alpha[rack[i][j]][rack[i][k]][alpha[i][j][s][t]], alpha[i][k][s])
+        if lhs != rhs:
+            return 2
+    for i, j, k, s, t, u in itertools.product(rng_x, rng_x, rng_x, rng_s, rng_s, rng_s):
+        if alpha[j][k][t][zeros[i, k, s][u]] != zeros[i, rack[j][k], s][alpha[j][k][t][u]]:
+            return 3
+    return tuple(
+        tuple(rack[i][j] * s_size + alpha[i][j][s][t] for j in rng_x for t in rng_s)
+        for i in rng_x
+        for s in rng_s
+    )
+
+
+@functools.cache  # the oracle walks every family over a few maps
+def _brute_relative_inverses_of(f):
+    return brute_relative_inverses(f)
 
 
 def naive_is_group(t):

@@ -647,7 +647,7 @@ def test_a_system_with_no_semilattice_points_is_refused(tmp_path, capsys, comman
 def test_the_empty_quasi_rack_has_no_decomposition(tmp_path, capsys):
     # a Plonka system needs a semilattice point, so this is not exit 3
     assert main(["decompose", write(tmp_path, "empty.txt", "0\n")]) == 1
-    assert capsys.readouterr() == ("", "decomposition requires a quasi rack with (*) and (***)\n")
+    assert capsys.readouterr() == ("", "decomposition requires a non-empty quasi rack\n")
 
 
 # Every command that reads a JSON file, as the argument list before the path.

@@ -1,10 +1,13 @@
+import collections
 import itertools
+import random
+import re
 
 import pytest
 
 from yaxl import constructions
 from fixtures import count_calls, deformed_fixture, dihedral_quandle, run_python, two_chain_clifford
-from oracles import naive_is_group, naive_semilattices
+from oracles import naive_cocycle_verdict, naive_is_group, naive_semilattices
 from yaxl.constructions import (
     SemilatticeSystem,
     all_skew_braces,
@@ -51,8 +54,9 @@ from yaxl.shelves import (
     quasi_rack_structure,
 )
 from yaxl.serialization import system_to_json
-from yaxl.solutions import is_solution, pair_map, quasi_bijective
-from yaxl.fnmap import compose
+from yaxl.solutions import is_solution, lyubashenko, pair_map, quasi_bijective
+from yaxl.fnmap import compose, is_idempotent
+from yaxl.plonka import checked_sum
 
 
 def test_semilattices():
@@ -188,6 +192,70 @@ def test_validate_system_checks_every_map_in_order(shape):
         assert _refused(shape, {(2, 0): (1, 0)}) == "gluing homomorphisms do not compose"
 
 
+def _identities(meet):
+    return {(a, b): (0, 1) for a in range(len(meet)) for b in range(len(meet)) if semilattice_geq(meet, a, b)}
+
+
+def _as_lists(x):
+    """x with every map (a tuple of ints, or a gluing map of a system) a list."""
+    if isinstance(x, SemilatticeSystem):
+        return SemilatticeSystem(x.meet, x.fibers, {k: _as_lists(f) for k, f in x.homs.items()})
+    return list(x) if isinstance(x, tuple) and all(isinstance(v, int) for v in x) else x
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+_CHAIN2 = ((0, 0), (0, 1))
+_CHAIN3 = _SHAPES["3-chain"]
+
+
+@pytest.mark.parametrize(
+    "meet, fibers, maps, message",
+    [
+        (_CHAIN2, (_T2,) * 2, {(1, 0): (1, 0)}, None),
+        (_CHAIN3, (_T2,) * 3, {}, None),
+        (_CHAIN3, (_T2,) * 3, {(2, 1): (1, 0), (2, 0): (1, 0)}, None),  # (2, 0) is the composite
+        (_CHAIN3, (_T2,) * 3, {(1, 1): (False, True)}, "phi[(1, 1)] has the wrong shape"),
+        (_CHAIN3, (_T2,) * 3, {(1, 1): (1, 0)}, "phi[(1, 1)] must be the identity"),
+        (_CHAIN3, (_T2,) * 3, {(1, 1): 5}, "phi[(1, 1)] must be the identity"),
+        (_CHAIN3, (_T2, _SWAP, _T2), {}, "phi[(1, 0)] is not a homomorphism"),
+        (_CHAIN3, (_T2,) * 3, {(2, 0): (1, 0)}, "gluing homomorphisms do not compose"),
+        (_SHAPES["V"], (_T2,) * 3, {}, None),
+    ],
+    ids=["2-chain-swap", "3-chain", "3-chain-composite", "shape", "identity", "not-a-sequence", "hom", "compose",
+         "V"],
+)
+def test_validate_system_decides_list_maps_like_tuples(meet, fibers, maps, message):
+    system = SemilatticeSystem(meet, fibers, {**_identities(meet), **maps})
+    assert _outcome(validate_system, system, is_rack) == message
+    assert _outcome(validate_system, _as_lists(system), is_rack) == message
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (is_idempotent, ((0, 0),)),
+        (is_idempotent, ((1, 0),)),
+        (constant_shelf, (2, (0, 0))),
+        (constant_shelf, (3, (1, 2, 0))),
+        (lyubashenko, ((0, 0, 2), (0, 0, 2))),
+        (lyubashenko, ((1, 2, 0), (2, 0, 1))),  # g is the relative inverse of f
+        (lyubashenko, ((1, 0, 2), (0, 2, 1))),
+        (lyubashenko, ((0, 0, 1), (0, 0, 1))),
+        (checked_sum, (SemilatticeSystem(_CHAIN2, (_T2,) * 2, {**_identities(_CHAIN2), (1, 0): (1, 0)}),)),
+        (checked_sum, (SemilatticeSystem(_CHAIN3, (_T2,) * 3, {**_identities(_CHAIN3), (2, 0): (1, 0)}),)),
+    ],
+    ids=lambda x: getattr(x, "__name__", ""),
+)
+def test_list_maps_give_the_tuple_result(fn, args):
+    assert _outcome(fn, *map(_as_lists, args)) == _outcome(fn, *args)
+
+
 # clifford_from_system with a semilattice_sum that reverses the rows of the
 # true sum, run under python -O; the broken guarantee must still exit 3
 WRONG_CLIFFORD_SUM = """
@@ -299,6 +367,44 @@ def test_cocycle_extension_rejects_conditions_2_and_3():
     with pytest.raises(ValueError, match="condition 3"):
         cocycle_extension(point, 2, over_a_point((0, 0), (1, 1)))
     assert len(cocycle_extension(point, 2, over_a_point((0, 1), (0, 1)))) == 2
+
+
+def _cocycle_verdict(rack, s_size, alpha):
+    """cocycle_extension's verdict: the number of the condition that
+    fails, or the table."""
+    try:
+        return cocycle_extension(rack, s_size, alpha)
+    except ValueError as e:
+        return int(re.match(r"condition ([123]) fails", str(e)).group(1))
+
+
+def _tally(verdicts):
+    return collections.Counter(v if isinstance(v, int) else "accepted" for v in verdicts)
+
+
+def test_cocycle_extension_matches_the_pointwise_oracle_over_a_point():
+    # every alpha over the one-point rack with |S| = 3: 27^3 families
+    point, maps = ((0,),), list(itertools.product(range(3), repeat=3))
+    verdicts = []
+    for family in itertools.product(maps, repeat=3):
+        alpha = (tuple(family),),
+        verdicts.append(_cocycle_verdict(point, 3, alpha))
+        assert verdicts[-1] == naive_cocycle_verdict(point, 3, alpha), family
+    assert _tally(verdicts) == {1: 10422, 2: 9088, 3: 31, "accepted": 142}
+
+
+def test_cocycle_extension_matches_the_pointwise_oracle_over_two_points():
+    # a seeded sample of the 2 * 4^8 alpha over the two racks on 2 points
+    # with |S| = 2; every map on 2 points is completely regular
+    racks, maps = (((0, 1), (0, 1)), ((1, 0), (1, 0))), list(itertools.product(range(2), repeat=2))
+    rng = random.Random(33)
+    verdicts = []
+    for _ in range(4000):
+        rack = rng.choice(racks)
+        alpha = tuple(tuple(tuple(rng.choice(maps) for s in range(2)) for j in range(2)) for i in range(2))
+        verdicts.append(_cocycle_verdict(rack, 2, alpha))
+        assert verdicts[-1] == naive_cocycle_verdict(rack, 2, alpha), (rack, alpha)
+    assert _tally(verdicts) == {2: 3984, 3: 2, "accepted": 14}
 
 
 @pytest.mark.parametrize("base", [((0, 0), (1, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0))])

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import INVERSE_NOT_A_SOLUTION, SSS_NOT_STAR, dihedral_quandle, trivial_quandle
+from fixtures import INVERSE_NOT_A_SOLUTION, SSS_NOT_STAR, count_calls, dihedral_quandle, trivial_quandle
 from oracles import comp, naive_component_identities
 from yaxl.fnmap import compose, identity, relative_inverse
 from yaxl.shelves import derived_map, is_left_shelf, quasi_rack_structure
@@ -213,6 +213,13 @@ def test_lyubashenko():
         lyubashenko((0, 5), (0, 1))
     with pytest.raises(ValueError, match=r"^map g = \(2, 0\) is not a map on 2 points$"):
         lyubashenko((0, 1), (2, 0))
+
+
+def test_lyubashenko_checks_r_cubed_for_list_maps(monkeypatch):
+    # g is f's relative inverse, so r^3 = r is guaranteed, on r = pair_map(s)
+    calls = count_calls(monkeypatch, pair_map)
+    assert lyubashenko([1, 2, 0], [2, 0, 1]) == lyubashenko((1, 2, 0), (2, 0, 1))
+    assert calls == {"pair_map": 2}
 
 
 def test_lyubashenko_conditions_profile():
