@@ -260,7 +260,8 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
         f, src, dst = sys.homs[(a, b)], sys.fibers[a], sys.fibers[b]
         if a == b and f != tuple(range(len(src))) and f != list(range(len(src))):  # f may be a list
             raise ValueError(f"phi[{(a, b)}] must be the identity")
-        if len(f) != len(src) or any(type(v) is not int or not 0 <= v < len(dst) for v in f):
+        if not isinstance(f, (list, tuple)) or len(f) != len(src) or any(
+                type(v) is not int or not 0 <= v < len(dst) for v in f):
             raise ValueError(f"phi[{(a, b)}] has the wrong shape")
         if a != b and not is_hom(f, src, dst):  # an (a, a) map is the identity, a homomorphism
             raise ValueError(f"phi[{(a, b)}] is not a homomorphism")
@@ -371,6 +372,9 @@ def deformed_quasi_rack(c: CliffordTable, e: int) -> Magma:
 
 def constant_shelf(n: int, f: FnMap) -> Magma:
     """x |> y := f(y) with f idempotent; always a quasi rack."""
+    if not isinstance(f, (list, tuple)):
+        raise ValueError("map must be a list or a tuple")
+    f = tuple(f)  # a list map is named as the equal tuple
     if len(f) != n or any(type(v) is not int or not 0 <= v < n for v in f):
         raise ValueError(f"map {f} is not a map on {n} points")
     if not is_idempotent(f):

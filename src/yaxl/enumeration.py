@@ -13,7 +13,11 @@ searches given lambda.  Both place the rows of a
 translation identity f_x f_y = f_{f_x(y)} f_{sigma(x, y)}: left
 self-distributivity L_x L_y = L_{L_x(y)} L_x, and the third braid
 component rho_z rho_y = rho_{rho_z(y)} rho_{lambda_y(z)}.
-``_translation_checks`` builds the placement checks of either.
+``_translation_checks`` builds the placement checks of either; they
+read, per distinct placed row m, the masks pre[v][b] of the candidates
+f with m(f(v)) = b (``_masks_of``).  For a permutation m these are the
+value index's own masks read through m^-1, so a rack or quandle search
+builds no masks of its own.
 
 The labeled search places left-translation rows.  Candidate rows are
 permutations (rack/quandle), completely regular maps (quasi classes) or
@@ -39,7 +43,11 @@ live, and after each row every live q is carried in order over the
 rows i for which rows i and q(i) are both placed: a smaller relabeled
 row prunes the subtree, a greater one drops q, an equal one moves on.
 A complete table that survives is canonical; the canonical tables come
-out in the order of the labeled stream.
+out in the order of the labeled stream.  Each relabeled row p f q is
+gathered in C, as bytes(q) translated by f and then by p
+(``fnmap.byte_tables``), and compared with the placed row's bytes: byte
+strings of one length compare as the tuples of their entries, so the
+prune order is the tuples' order.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ import functools
 import itertools
 import random
 
-from .fnmap import guarantee, relative_inverse
+from .fnmap import byte_tables, guarantee, is_permutation, relative_inverse
 from .shelves import (
     QuasiRack,
     check_star,
@@ -101,12 +109,18 @@ def _value_index(maps) -> list:
 
 def _masks_of(at, m) -> tuple:
     """For the maps indexed by ``at`` and a map m: pre[v][b], the maps f
-    with m(f(v)) = b, and the mask of the maps f with f m = m f."""
+    with m(f(v)) = b, and the mask of the maps f with f m = m f.  For a
+    permutation m, pre[v][b] is the mask at[v][m^-1(b)] itself, so no
+    new mask is built."""
     span = range(len(m))
-    pre = [[0] * len(m) for _ in span]
-    for v in span:
-        for a in span:
-            pre[v][m[a]] |= at[v][a]
+    if is_permutation(m):
+        inverse = sorted(span, key=m.__getitem__)
+        pre = [[row[a] for a in inverse] for row in at]
+    else:
+        pre = [[0] * len(m) for _ in span]
+        for v in span:
+            for a in span:
+                pre[v][m[a]] |= at[v][a]
     commuting = -1
     for v in span:
         commuting &= sum(at[m[v]][b] & pre[v][b] for b in span)
@@ -326,41 +340,48 @@ def _search_labeled(n: int, klass: str, first_rows: int = -1, canonical: bool = 
         least = _first_row_minima(n, maps, row_masks)
         row_masks[0] &= sum(1 << i for i in least[0])  # the canonical first rows
         index = {f: i for i, f in enumerate(maps)}
-        live = [()] * n  # live[k]: (q, p, i) after row k, rows 0..i-1 of p L q tied
+        # each candidate as bytes and as a translate table; p f q is then
+        # bytes(q).translate(f's table).translate(p's table), and bytes
+        # of one length compare as the tuples of their entries
+        as_bytes = list(map(bytes, maps))
+        tables = byte_tables(as_bytes)
+        placed = [0] * n  # placed[k]: the candidate index of row k
+        live = [()] * n  # live[k]: (q, bytes(q), p's table, i) after row k, rows 0..i-1 tied
         not_below = _not_below(least)
 
-        # by_first[k]: every relabeling (q, p) with q(0) = k but the identity
+        # by_first[k]: every relabeling (q, bytes(q), p's table) with q(0) = k but the identity
         by_first = [[] for _ in span]
-        for q in itertools.islice(itertools.permutations(span), 1, None):
-            by_first[q[0]].append((q, sorted(span, key=q.__getitem__)))
+        relabelings = list(itertools.islice(itertools.permutations(span), 1, None))
+        inverses = byte_tables(bytes(sorted(span, key=q.__getitem__)) for q in relabelings)
+        for q, tp in zip(relabelings, inverses):
+            by_first[q[0]].append((q, bytes(q), tp))
 
         @functools.cache  # once per row k and candidate i with m_k(maps[i]) = L_0
         def ties(k, i):
             # the relabelings with q(0) = k and p f q = m_k(f), f = maps[i]
-            f, m = maps[i], least[k][i]
-            return [(q, p, 1) for q, p in by_first[k] if tuple([p[f[v]] for v in q]) == m]
+            f, m = tables[i], bytes(least[k][i])
+            return [(q, bq, tp, 1) for q, bq, tp in by_first[k] if bq.translate(f).translate(tp) == m]
 
     def still_least(rows, k: int) -> bool:
         # Carry each relabeling that ties the rows compared so far over
         # the rows i <= k with q(i) <= k: a smaller row prunes, a greater
         # row drops q.  Only the q that tie row 0 can beat the table.
         todo = live[k - 1] if k else ()
-        c = index[rows[k]]
+        placed[k] = c = index[rows[k]]
         if least[k][c] == rows[0]:
             todo = [*todo, *ties(k, c)]
         kept = []
-        for q, p, i in todo:
+        for q, bq, tp, i in todo:
             while i <= k and q[i] <= k:
-                row = rows[q[i]]
-                new = tuple([p[row[v]] for v in q])
-                if new != rows[i]:
-                    if new < rows[i]:
+                new, row = bq.translate(tables[placed[q[i]]]).translate(tp), as_bytes[placed[i]]
+                if new != row:
+                    if new < row:
                         return False
                     break
                 i += 1
             else:
                 if i < n:  # not yet decided
-                    kept.append((q, p, i))
+                    kept.append((q, bq, tp, i))
         live[k] = kept
         return True
 

@@ -56,6 +56,15 @@ def compose(f: FnMap, g: FnMap) -> FnMap:
     return tuple([f[x] for x in g])
 
 
+def byte_tables(maps) -> list:
+    """Each map, given as bytes, as a ``bytes.translate`` table: for maps
+    f and g on the same points, ``bytes(g).translate(table of f) ==
+    bytes(compose(f, g))``, gathered in C.  Entries must fit in a byte,
+    so each map has at most 256 points; a byte at or past len(f) would
+    be read as 0."""
+    return [f.ljust(256, b"\0") for f in maps]
+
+
 def commutes(f: FnMap, g: FnMap) -> bool:
     if len(f) != len(g):
         raise ValueError(f"size mismatch: {len(f)} vs {len(g)}")

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .fnmap import FnMap, compose, guarantee, is_permutation, regular_family, zeros_multiplicative
+from .fnmap import (
+    FnMap,
+    byte_tables,
+    compose,
+    guarantee,
+    is_permutation,
+    regular_family,
+    zeros_multiplicative,
+)
 
 Magma = tuple
 
@@ -49,7 +57,7 @@ def is_left_shelf(table: Magma) -> bool:
     if len(table) > 256:  # an entry does not fit in a byte
         return _is_left_shelf_by_index(table)
     short = [bytes(row) for row in table]
-    rows = [row.ljust(256, b"\0") for row in short]  # L_x as a translation table
+    rows = byte_tables(short)  # L_x as a translation table
     flat = b"".join(short)
     for row_x, L_x in zip(short, rows):
         if flat.translate(L_x) != b"".join([row_x.translate(rows[t]) for t in row_x]):

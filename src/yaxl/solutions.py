@@ -295,11 +295,13 @@ def lyubashenko(f: FnMap, g: FnMap) -> Solution:
     quasi non-degenerate solution, and cubic (r^3 = r) when g is the
     relative inverse of f.
     """
+    if not all(isinstance(m, (list, tuple)) for m in (f, g)):
+        raise ValueError("maps must be lists or tuples")
+    f, g = tuple(f), tuple(g)  # a list map gives the same solution and messages as the equal tuple
     n = len(f)
     for name, m in (("f", f), ("g", g)):
         if len(m) != n or any(type(v) is not int or not 0 <= v < n for v in m):
             raise ValueError(f"map {name} = {m} is not a map on {n} points")
-    f, g = tuple(f), tuple(g)  # a list map gives the same solution as the equal tuple
     if not commutes(f, g):
         raise ValueError("maps must commute")
     tf = relative_inverse(f)

@@ -20,6 +20,21 @@ def comp(f, g):
     return tuple(f[x] for x in g)
 
 
+def or_built_masks(at, m):
+    """``enumeration._masks_of`` with every mask OR-ed together from
+    ``at``, for a permutation m as for any other map: pre[v][b], the maps
+    f with m(f(v)) = b, and the mask of the maps f with f m = m f."""
+    span = range(len(m))
+    pre = [[0] * len(m) for _ in span]
+    for v in span:
+        for a in span:
+            pre[v][m[a]] |= at[v][a]
+    commuting = -1
+    for v in span:
+        commuting &= sum(at[m[v]][b] & pre[v][b] for b in span)
+    return pre, commuting
+
+
 def brute_relative_inverses(f):
     """All g with fgf = f, gfg = g and fg = gf, by full search."""
     n = len(f)

@@ -223,12 +223,14 @@ _CHAIN3 = _SHAPES["3-chain"]
         (_CHAIN3, (_T2,) * 3, {(1, 1): (False, True)}, "phi[(1, 1)] has the wrong shape"),
         (_CHAIN3, (_T2,) * 3, {(1, 1): (1, 0)}, "phi[(1, 1)] must be the identity"),
         (_CHAIN3, (_T2,) * 3, {(1, 1): 5}, "phi[(1, 1)] must be the identity"),
+        (_CHAIN2, (_T2,) * 2, {(1, 0): 5}, "phi[(1, 0)] has the wrong shape"),
+        (_CHAIN2, (_T2,) * 2, {(1, 0): None}, "phi[(1, 0)] has the wrong shape"),
         (_CHAIN3, (_T2, _SWAP, _T2), {}, "phi[(1, 0)] is not a homomorphism"),
         (_CHAIN3, (_T2,) * 3, {(2, 0): (1, 0)}, "gluing homomorphisms do not compose"),
         (_SHAPES["V"], (_T2,) * 3, {}, None),
     ],
-    ids=["2-chain-swap", "3-chain", "3-chain-composite", "shape", "identity", "not-a-sequence", "hom", "compose",
-         "V"],
+    ids=["2-chain-swap", "3-chain", "3-chain-composite", "shape", "identity", "not-a-sequence",
+         "gluing-int", "gluing-none", "hom", "compose", "V"],
 )
 def test_validate_system_decides_list_maps_like_tuples(meet, fibers, maps, message):
     system = SemilatticeSystem(meet, fibers, {**_identities(meet), **maps})
@@ -321,6 +323,17 @@ def test_constant_shelf():
     # an entry off the carrier is named before the idempotency check reads it
     with pytest.raises(ValueError, match=r"^map \(0, 5\) is not a map on 2 points$"):
         constant_shelf(2, (0, 5))
+
+
+@pytest.mark.parametrize("f", [(0, 5), (0, 1, 1), (1, 0), (0, "a")])
+def test_constant_shelf_names_a_list_map_as_the_equal_tuple(f):
+    assert _outcome(constant_shelf, 2, list(f)) == _outcome(constant_shelf, 2, f)
+
+
+@pytest.mark.parametrize("f", [5, None, "01", {0: 0, 1: 1}])
+def test_constant_shelf_refuses_a_map_that_is_not_a_sequence(f):
+    with pytest.raises(ValueError, match="^map must be a list or a tuple$"):
+        constant_shelf(2, f)
 
 
 def test_cocycle_extension():

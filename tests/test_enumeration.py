@@ -19,6 +19,7 @@ from oracles import (
     naive_quasi_families,
     naive_question1,
     naive_question2,
+    or_built_masks,
 )
 from yaxl import cli, enumeration, fnmap, shelves, solutions
 from yaxl.enumeration import (
@@ -37,6 +38,7 @@ from yaxl.enumeration import (
     _compat_masks,
     _compatible,
     _first_row_minima,
+    _masks_of,
     _not_below,
     _orbits,
     _place,
@@ -46,7 +48,7 @@ from yaxl.enumeration import (
     _value_index,
     quasi_rack_profile,
 )
-from yaxl.fnmap import commutes, regular_family
+from yaxl.fnmap import commutes, is_permutation, regular_family
 from yaxl.shelves import (
     canonical_form,
     is_canonical,
@@ -421,6 +423,21 @@ def test_question2_walk_is_pinned(monkeypatch):
     assert report["solutions_meeting_hypotheses"] == 264 and len(report["candidates"]) == 78
 
 
+@pytest.mark.parametrize(
+    "n, klass", [(n, k) for n in (1, 2, 3, 4) for k in CLASSES] + [(5, "rack")])
+def test_masks_of_matches_the_or_built_masks(n, klass):
+    # every candidate of the class, against the masks OR-ed from at; a
+    # permutation's pre reads at's own masks through its inverse
+    maps = _candidates(n, klass)[0]
+    at = _value_index(maps)
+    for m in maps:
+        pre, commuting = _masks_of(at, m)
+        assert (pre, commuting) == or_built_masks(at, m)
+        if is_permutation(m):
+            inverse = sorted(range(n), key=m.__getitem__)
+            assert all(pre[v][b] is at[v][inverse[b]] for v in range(n) for b in range(n))
+
+
 def test_question2_builds_each_rows_masks_once(monkeypatch):
     # one _masks_of cache serves every lambda family: 10 calls for the
     # distinct idempotents of the families' compatibility masks, and at
@@ -687,6 +704,23 @@ def test_quandles_of_order_7():
 def test_racks_of_order_7():
     # OEIS A181771
     assert len(enumerate_canonical(7, "rack", override=True)) == 2080
+
+
+# The SHA-256 of the repr of the canonical stream at n = 6, taken before
+# relabeled rows were compared as byte strings: the order of the whole
+# stream is pinned, not only its count.
+ORDER_6_DIGESTS = {
+    "rack": (353, "835ec8f74f3199e073c07d1c640deac611a2536ef55d595f0673b1d1817c30ec"),
+    "quandle": (73, "ea01856f84e78c14d313c99f70b25bc227d0e6980b57296c7a39fbd516490949"),
+}
+
+
+@pytest.mark.parametrize("klass", sorted(ORDER_6_DIGESTS))
+def test_order_6_streams_keep_their_order(klass):
+    tables = list(_search_labeled(6, klass, canonical=True))
+    count, digest = ORDER_6_DIGESTS[klass]
+    assert len(tables) == count
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
 
 def test_quasi_counts_of_order_5():

@@ -5,8 +5,9 @@ their two callers, a class's candidate rows have one builder, the sampled search
 brace's lambda and the conjugation x^- y x are each built in one place,
 the command-line parsers are built in one place, JSON is parsed in one
 place and files are opened only by the command line, every theorem
-guarantee fails through ``fnmap.guarantee``, and the command line
-starts without the process pool."""
+guarantee fails through ``fnmap.guarantee``, a 256-byte translation
+table is built in one place, and the command line starts without the
+process pool."""
 
 import ast
 from pathlib import Path
@@ -157,6 +158,34 @@ def test_json_is_parsed_in_one_place_and_files_are_opened_in_two():
     sources = [path.read_text() for path in SRC]
     assert placement_callers(sources, "loads") == ["json_object"]
     assert placement_callers(sources, "open") == ["_emit", "main"]
+
+
+def byte_table_builders(sources: dict) -> list:
+    """(module, top-level definition) around each call ``x.ljust(256,
+    ...)``, the padding of a row to a ``bytes.translate`` table."""
+    return [
+        (module, getattr(top, "name", "<module>"))
+        for module, source in sources.items()
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ljust"
+        and node.args[:1] and getattr(node.args[0], "value", None) == 256
+    ]
+
+
+def test_the_gate_finds_every_byte_table_builder():
+    source = "def f(r):\n    return bytes(r).ljust(256, b'0')\nt = b'a'.ljust(256)\ns = 'x'.ljust(8)\n"
+    assert byte_table_builders({"m": source, "n": "class C:\n    t = r.ljust(256, b'0')\n"}) == [
+        ("m", "f"),
+        ("m", "<module>"),
+        ("n", "C"),
+    ]
+
+
+def test_translation_tables_have_one_builder():
+    # shelves.is_left_shelf and the canonical search gather maps through
+    # fnmap.byte_tables; a second padding of a row to 256 bytes fails here
+    assert byte_table_builders({path.stem: path.read_text() for path in SRC}) == [("fnmap", "byte_tables")]
 
 
 # the methods of random.Random that draw an index or a sample of their own

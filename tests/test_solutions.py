@@ -215,6 +215,22 @@ def test_lyubashenko():
         lyubashenko((0, 1), (2, 0))
 
 
+@pytest.mark.parametrize("f, g", [((0, 5), (0, 1)), ((0, 1), (2, 0)), ((0, 1), (0, 1, 2)), ((1, 0, 2), (0, 2, 1))])
+def test_lyubashenko_names_list_maps_as_the_equal_tuples(f, g):
+    def outcome(*args):
+        with pytest.raises(ValueError) as e:
+            lyubashenko(*args)
+        return str(e.value)
+
+    assert outcome(list(f), list(g)) == outcome(list(f), g) == outcome(f, list(g)) == outcome(f, g)
+
+
+@pytest.mark.parametrize("f, g", [(5, (0, 1)), ((0, 1), None), ("01", (0, 1))])
+def test_lyubashenko_refuses_maps_that_are_not_sequences(f, g):
+    with pytest.raises(ValueError, match="^maps must be lists or tuples$"):
+        lyubashenko(f, g)
+
+
 def test_lyubashenko_checks_r_cubed_for_list_maps(monkeypatch):
     # g is f's relative inverse, so r^3 = r is guaranteed, on r = pair_map(s)
     calls = count_calls(monkeypatch, pair_map)
