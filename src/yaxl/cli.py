@@ -73,7 +73,7 @@ def _check_shelf(table) -> dict:
         return report
     # the table is a left shelf, so it is a quasi rack iff its rows form a regular family
     family = fnmap.regular_family(table)
-    q = None if family is None else shelves.QuasiRack(table, family.inv, family.zero)
+    q = None if family is None else shelves.QuasiRack(table, *family)
     # a rack is a quasi rack whose idempotents are all the identity
     rack = q is not None and all(z == tuple(range(q.n)) for z in q.L_zero)
     quasi_quandle = q is not None and shelves.is_quasi_quandle(q)

@@ -12,9 +12,7 @@ labeled group tables validated by brute force).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .fnmap import (
     FnMap,
@@ -123,8 +121,7 @@ def labeled_groups(n: int):
 # Clifford semigroups
 
 
-@dataclass(frozen=True)
-class CliffordTable:
+class CliffordTable(NamedTuple):
     mul: Magma
     inv: tuple  # elementwise inverse
     idems: frozenset
@@ -192,8 +189,7 @@ def clifford_table(mul: Magma) -> CliffordTable:
     return c
 
 
-@dataclass(frozen=True)
-class SemilatticeSystem:
+class SemilatticeSystem(NamedTuple):
     """A semilattice (meet table), one fiber per point, and gluing
     homomorphisms homs[(a, b)] for every a >= b (homs[(a, a)] the
     identity).  Over groups it presents a Clifford semigroup, over racks
@@ -236,10 +232,12 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
     is non-empty and passes ``fiber_ok`` (``is_group`` for a Clifford
     semigroup, ``is_rack`` for a Plonka sum) and the gluing maps are
     homomorphisms that compose."""
-    if not sys.meet:  # the sum would be an empty table
+    if not validate_table(sys.meet):  # the sum would be an empty table
         raise ValueError("semilattice has no points")
     if not is_semilattice(sys.meet):
         raise ValueError("meet table is not a semilattice")
+    if not isinstance(sys.fibers, (list, tuple)):
+        raise ValueError("fibers must be a list or a tuple")
     if len(sys.fibers) != sys.points:
         raise ValueError("need one fiber per semilattice point")
     for k, f in enumerate(sys.fibers):
@@ -250,6 +248,8 @@ def validate_system(sys: SemilatticeSystem, fiber_ok) -> None:
             raise ValueError(f"fiber {k} fails {fiber_ok.__name__}")
     span = range(sys.points)
     pairs = [(a, b) for a in span for b in span if semilattice_geq(sys.meet, a, b)]
+    if not isinstance(sys.homs, dict):
+        raise ValueError("homs must be a dict of gluing maps")
     for pair in pairs:
         if pair not in sys.homs:
             raise ValueError(f"phi[{pair}] is missing")
@@ -385,7 +385,7 @@ def constant_shelf(n: int, f: FnMap) -> Magma:
 
 
 def _sequence_of(seq, k: int) -> bool:
-    return isinstance(seq, Sequence) and len(seq) == k
+    return isinstance(seq, (list, tuple)) and len(seq) == k
 
 
 def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
@@ -439,8 +439,7 @@ def cocycle_extension(rack: Magma, s_size: int, alpha) -> Magma:
 # weak braces
 
 
-@dataclass(frozen=True)
-class WeakBrace:
+class WeakBrace(NamedTuple):
     add: Magma
     mul: Magma
     add_inv: tuple

@@ -544,7 +544,7 @@ def _report(question: str, n: int, exhaustive: bool, seed, counted: str, checked
         "exhaustive": exhaustive,
         "seed": None if exhaustive else seed,  # an exhaustive search draws nothing
         counted: checked,
-        "candidates": [(s.lam, s.rho) for s in candidates],
+        "candidates": candidates,
         "note": note,
     }
 
@@ -619,7 +619,7 @@ def _labeled_pairs(n: int, klass: str, keep) -> tuple:
     unchanged under a simultaneous relabeling, and ``keep`` decides the
     braid identity, which the placement leaves open for some pairs."""
     lams = list(_search_labeled(n, "quasi_rack", shelf=False, canonical=True))
-    kept = [(s.lam, s.rho) for s in _rho_placements(n, klass, lams) if keep(s)]
+    kept = [s for s in _rho_placements(n, klass, lams) if keep(s)]
     orbits = _orbits([(lam,) for lam in lams] + kept)
     return sum(map(len, orbits[:len(lams)])), sorted(set().union(*orbits[len(lams):]))
 
@@ -708,8 +708,8 @@ def search_question1(n: int, seed=None, samples: int = 10000) -> dict:
         return is_solution(s) and relative_inverse(pair_map(s)) is None
 
     if exhaustive:
-        labeled, pairs = _labeled_pairs(n, "quasi_rack", candidate)
-        checked, candidates = labeled ** 2, [Solution(lam=lam, rho=rho) for lam, rho in pairs]
+        labeled, candidates = _labeled_pairs(n, "quasi_rack", candidate)
+        checked = labeled ** 2
     else:
         drawn = list(_sampled(n, seed, samples, joint=True))
         checked, candidates = len(drawn), list(filter(candidate, drawn))
@@ -725,8 +725,7 @@ def abc_solutions(n: int):
     lexicographic order of (lambda, rho): the pairs of ``_labeled_pairs``
     with rho among all maps, each decided again by ``abc_family``.
     """
-    for lam, rho in _labeled_pairs(n, "shelf", lambda s: abc_family(s) is not None)[1]:
-        s = Solution(lam=lam, rho=rho)
+    for s in map(Solution._make, _labeled_pairs(n, "shelf", lambda s: abc_family(s) is not None)[1]):
         d = abc_family(s)
         guarantee(d is not None, f"a relabeled (A)(B)(C) solution fails abc_family: {s}")
         yield s, d

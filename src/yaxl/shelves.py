@@ -10,9 +10,8 @@ with every translation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .fnmap import (
     FnMap,
@@ -83,8 +82,7 @@ def is_quandle(table: Magma) -> bool:
     return is_rack(table) and all(table[x][x] == x for x in range(len(table)))
 
 
-@dataclass(frozen=True)
-class QuasiRack:
+class QuasiRack(NamedTuple):
     """A left shelf with cached relative inverses of its translations."""
 
     table: Magma
@@ -108,7 +106,7 @@ def quasi_rack_structure(table: Magma) -> Optional[QuasiRack]:
     family = regular_family(table)
     if family is None:
         return None
-    return QuasiRack(table, family.inv, family.zero)
+    return QuasiRack(table, *family)
 
 
 def is_quasi_quandle(q: QuasiRack) -> bool:
@@ -122,10 +120,10 @@ def check_star(q: QuasiRack) -> bool:
 
 def check_starstar(q: QuasiRack) -> bool:
     """L_y(x) == L_{L^0_x(y)}(x) for all pairs."""
-    for x in range(q.n):
-        zx = q.L_zero[x]
+    table = q.table  # a record field is read through a descriptor: once, not per pair
+    for x, zx in enumerate(q.L_zero):
         for y in range(q.n):
-            if q.table[y][x] != q.table[zx[y]][x]:
+            if table[y][x] != table[zx[y]][x]:
                 return False
     return True
 

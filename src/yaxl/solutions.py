@@ -16,7 +16,7 @@ the equivalent component identities to cross-check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fnmap import (
     FnMap,
@@ -33,8 +33,7 @@ from .fnmap import (
 from .shelves import Magma, is_left_shelf
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     lam: tuple  # lam[x] = lambda_x
     rho: tuple  # rho[y] = rho_y
 
@@ -46,7 +45,7 @@ class Solution:
         return self.lam[x][y], self.rho[y][x]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: vars() of the flags needs an instance __dict__
 class SolutionFlags:
     bijective: bool
     involutive: bool

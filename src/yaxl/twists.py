@@ -8,15 +8,14 @@ reuses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fnmap import compose, guarantee, idempotents_central, relative_inverse, zeros_multiplicative
 from .shelves import Magma, is_hom, is_left_shelf, validate_table
 from .solutions import Solution, abc_family, derived_shelf
 
 
-@dataclass(frozen=True)
-class TwistFamily:
+class TwistFamily(NamedTuple):
     table: Magma  # base left shelf
     phi: tuple
     phi_inv: tuple

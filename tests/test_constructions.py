@@ -239,6 +239,21 @@ def test_validate_system_decides_list_maps_like_tuples(meet, fibers, maps, messa
 
 
 @pytest.mark.parametrize(
+    "meet, fibers, homs, message",
+    [
+        (((0, 5),), (((0,),),), {(0, 0): (0,)}, "operation table must be square"),
+        (((0,), (0,)), (((0,),),) * 2, {(0, 0): (0,)}, "operation table must be square"),
+        (((0,),), 5, {(0, 0): (0,)}, "fibers must be a list or a tuple"),
+        (((0,),), (((0,),),), 5, "homs must be a dict of gluing maps"),
+    ],
+    ids=["meet-wide", "meet-tall", "fibers", "homs"],
+)
+def test_validate_system_refuses_malformed_parts(meet, fibers, homs, message):
+    # a Python caller's system is not read through the JSON reader's checks
+    assert _outcome(validate_system, SemilatticeSystem(meet, fibers, homs), is_rack) == message
+
+
+@pytest.mark.parametrize(
     "fn, args",
     [
         (is_idempotent, ((0, 0),)),
@@ -369,6 +384,15 @@ def test_cocycle_extension_rejects():
 def over_a_point(*maps):
     """The cocycle alpha[0][0][s] = maps[s] over the one-point rack."""
     return ((tuple(maps),),)
+
+
+@pytest.mark.parametrize(
+    "maps", [(range(2), range(2)), (bytes(range(2)), bytes(range(2)))], ids=["range", "bytes"]
+)
+def test_cocycle_extension_takes_only_list_and_tuple_maps(maps):
+    # like validate_table and constant_shelf: a map must be a list or a tuple
+    with pytest.raises(ValueError, match=re.escape("alpha[0][0](0) is not a map on S")):
+        cocycle_extension(((0,),), 2, [[list(maps)]])
 
 
 def test_cocycle_extension_rejects_conditions_2_and_3():

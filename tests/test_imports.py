@@ -6,8 +6,8 @@ brace's lambda and the conjugation x^- y x are each built in one place,
 the command-line parsers are built in one place, JSON is parsed in one
 place and files are opened only by the command line, every theorem
 guarantee fails through ``fnmap.guarantee``, a 256-byte translation
-table is built in one place, and the command line starts without the
-process pool."""
+table is built in one place, the records are NamedTuples, and the
+command line starts without the process pool."""
 
 import ast
 from pathlib import Path
@@ -186,6 +186,48 @@ def test_translation_tables_have_one_builder():
     # shelves.is_left_shelf and the canonical search gather maps through
     # fnmap.byte_tables; a second padding of a row to 256 bytes fails here
     assert byte_table_builders({path.stem: path.read_text() for path in SRC}) == [("fnmap", "byte_tables")]
+
+
+def dataclass_uses(sources: dict) -> list:
+    """Sorted (module, class) for each class a ``dataclass`` decorator
+    wraps, and (module, "import") for each import of ``dataclasses``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for d in node.decorator_list:
+                    d = d.func if isinstance(d, ast.Call) else d
+                    if "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)):
+                        found.append((module, node.name))
+            elif (isinstance(node, ast.ImportFrom) and node.module == "dataclasses") or (
+                isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            ):
+                found.append((module, "import"))
+    return sorted(found)
+
+
+def test_the_gate_finds_every_dataclass():
+    source = (
+        "from dataclasses import dataclass\n@dataclass\nclass A: pass\n"
+        "@dataclass(frozen=True)\nclass B: pass\nclass C(NamedTuple): pass\n"
+    )
+    other = "import dataclasses as d\n@d.dataclass(eq=False)\nclass D: pass\n@other\nclass E: pass\n"
+    assert dataclass_uses({"m": source, "n": other}) == [
+        ("m", "A"),
+        ("m", "B"),
+        ("m", "import"),
+        ("n", "D"),
+        ("n", "import"),
+    ]
+
+
+def test_records_are_named_tuples():
+    # every record is a NamedTuple like fnmap's, except SolutionFlags,
+    # which is read by vars(); a second record idiom fails here
+    assert dataclass_uses({path.stem: path.read_text() for path in SRC}) == [
+        ("solutions", "SolutionFlags"),
+        ("solutions", "import"),
+    ]
 
 
 # the methods of random.Random that draw an index or a sample of their own

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -7,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from fixtures import INVERSE_NOT_A_SOLUTION, SSS_NOT_STAR, count_calls, dihedral_quandle, trivial_quandle
 from oracles import comp, naive_component_identities
-from yaxl.fnmap import compose, identity, relative_inverse
-from yaxl.shelves import derived_map, is_left_shelf, quasi_rack_structure
+from yaxl.constructions import SemilatticeSystem, clifford_table, make_weak_brace
+from yaxl.enumeration import enumerate_canonical, search_question2
+from yaxl.fnmap import compose, identity, regular_family, relative_inverse
+from yaxl.shelves import QuasiRack, derived_map, is_left_shelf, quasi_rack_structure
 from yaxl.solutions import (
     Solution,
     _braid_holds,
@@ -30,6 +33,7 @@ from yaxl.solutions import (
     structure_magma,
     verify_section3_identities,
 )
+from yaxl.twists import make_twist_family
 
 
 def flip(n):
@@ -304,3 +308,38 @@ def test_braid_holds_matches_component_oracle_on_random_maps():
             assert verdict == naive_component_identities(lam, rho), (lam, rho)
             verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False] > verdicts[True]
+
+
+_POINT = ((0,),)
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (Solution(_POINT, _POINT), ("lam", "rho")),
+        (quasi_rack_structure(_POINT), ("table", "L_inv", "L_zero")),
+        (make_twist_family(_POINT, _POINT), ("table", "phi", "phi_inv", "phi_zero")),
+        (clifford_table(_POINT), ("mul", "inv", "idems")),
+        (SemilatticeSystem(_POINT, (_POINT,), {(0, 0): (0,)}), ("meet", "fibers", "homs")),
+        (make_weak_brace(_POINT, _POINT), ("add", "mul", "add_inv", "mul_inv")),
+    ],
+    ids=["Solution", "QuasiRack", "TwistFamily", "CliffordTable", "SemilatticeSystem", "WeakBrace"],
+)
+def test_records_are_frozen_tuples_of_their_fields(record, fields):
+    # a record is the tuple of its fields, built by position or keyword
+    assert isinstance(record, tuple) and record._fields == fields
+    assert type(record)(*record) == record == type(record)(**record._asdict())
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+
+
+def test_records_are_the_tuples_the_searches_pass():
+    lam, rho = s = lyubashenko((0, 0), (0, 0))
+    assert (lam, rho) == (s.lam, s.rho)
+    for n in (1, 2, 3):
+        for t in enumerate_canonical(n, "quasi_rack"):
+            assert QuasiRack(t, *regular_family(t)) == quasi_rack_structure(t)
+    report = search_question2(2)  # its candidates are Solutions, and json writes each as a pair
+    assert report["candidates"] and all(type(c) is Solution for c in report["candidates"])
+    pairs = {**report, "candidates": [(c.lam, c.rho) for c in report["candidates"]]}
+    assert json.dumps(report) == json.dumps(pairs)
